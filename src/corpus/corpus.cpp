@@ -1,6 +1,6 @@
 #include "corpus/corpus.hpp"
 
-#include "support/combinators.hpp"
+#include <algorithm>
 
 namespace sv::corpus {
 
@@ -18,7 +18,8 @@ std::vector<std::string> modelsOf(const std::string &app) {
 }
 
 db::Codebase make(const std::string &app, const std::string &model) {
-  if (!contains(modelsOf(app), model))
+  const auto models = modelsOf(app);
+  if (std::find(models.begin(), models.end(), model) == models.end())
     internalError("app " + app + " has no model '" + model + "'");
   if (app == "babelstream") return makeBabelstream(model);
   if (app == "babelstream-fortran") return makeBabelstreamFortran(model);

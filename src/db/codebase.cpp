@@ -472,11 +472,23 @@ UnitEntry unitFromMsg(const msgpack::Value &v) {
   u.tir = tree::Tree::fromMsgpack(v.at("tir"));
   const auto &m = v.asMap();
   if (const auto it = m.find("sigs"); it != m.end()) {
+    // A missing or mis-sized signature would let tedLowerBound exceed the
+    // exact distance, and the query layer would prune a true neighbour.
     const auto &sigs = it->second.asArray();
-    tree::BoundSignature *fields[] = {&u.sigTsrc, &u.sigTsrcPp, &u.sigTsem, &u.sigTsemI,
-                                      &u.sigTir};
-    for (usize i = 0; i < 5 && i < sigs.size(); ++i)
-      *fields[i] = tree::BoundSignature::fromMsgpack(sigs[i]);
+    const std::pair<tree::BoundSignature *, const tree::Tree *> fields[] = {
+        {&u.sigTsrc, &u.tsrc}, {&u.sigTsrcPp, &u.tsrcPp}, {&u.sigTsem, &u.tsem},
+        {&u.sigTsemI, &u.tsemI}, {&u.sigTir, &u.tir}};
+    if (sigs.size() != std::size(fields))
+      throw ParseError("codebase db: unit has " + std::to_string(sigs.size()) +
+                       " signatures, want " + std::to_string(std::size(fields)));
+    for (usize i = 0; i < sigs.size(); ++i) {
+      const auto &[sig, t] = fields[i];
+      *sig = tree::BoundSignature::fromMsgpack(sigs[i]);
+      if (sig->n != t->size())
+        throw ParseError("codebase db: signature " + std::to_string(i) + " covers " +
+                         std::to_string(sig->n) + " nodes, its tree has " +
+                         std::to_string(t->size()));
+    }
   } else {
     // DB written before signatures existed: self-heal from the trees.
     u.computeSignatures();
@@ -532,6 +544,9 @@ CodebaseDb CodebaseDb::deserialise(const std::vector<u8> &bytes) {
   db.hasCoverage = v.at("hasCoverage").asBool();
   for (const auto &row : v.at("coverage").asArray()) {
     const auto &r = row.asArray();
+    if (r.size() != 3)
+      throw ParseError("codebase db: coverage row has " + std::to_string(r.size()) +
+                       " fields, want 3");
     db.coverage.lineHits[{static_cast<i32>(r[0].asInt()), static_cast<i32>(r[1].asInt())}] =
         static_cast<u64>(r[2].asInt());
   }

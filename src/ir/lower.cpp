@@ -1,9 +1,9 @@
 #include "ir/lower.hpp"
 
+#include <algorithm>
 #include <map>
 
 #include "lang/directive.hpp"
-#include "support/combinators.hpp"
 #include "support/strings.hpp"
 
 namespace sv::ir {
@@ -767,11 +767,11 @@ void FunctionLowerer::lowerStmt(const Stmt &s) {
 void FunctionLowerer::lowerDirective(const Stmt &s) {
   SV_CHECK(s.directive.has_value(), "directive stmt without payload");
   const auto &d = *s.directive;
-  const bool offload = sv::contains(d.kind, std::string("target"));
-  const bool parallel = sv::contains(d.kind, std::string("parallel")) ||
-                        sv::contains(d.kind, std::string("taskloop")) ||
-                        sv::contains(d.kind, std::string("loop")) ||
-                        sv::contains(d.kind, std::string("kernels"));
+  const auto has = [&d](std::string_view word) {
+    return std::find(d.kind.begin(), d.kind.end(), word) != d.kind.end();
+  };
+  const bool offload = has("target");
+  const bool parallel = has("parallel") || has("taskloop") || has("loop") || has("kernels");
   if (s.children.empty()) {
     // Standalone (barrier etc.): a single runtime call.
     emitVoid("call", "void", {"@__kmpc_barrier"}, s.loc.file, s.loc.line);

@@ -1,7 +1,5 @@
 #include "lang/ast.hpp"
 
-#include "support/combinators.hpp"
-
 namespace sv::lang::ast {
 
 std::string Type::str() const {

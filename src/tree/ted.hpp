@@ -16,7 +16,9 @@
 //
 // All three return identical distances on every input; ZhangShasha and
 // PathStrategy stay selectable as the cross-check oracles for Apted (the
-// fuzz `ted` round and tests/tree/ted_test.cpp assert the equality).
+// fuzz `ted` round and tests/tree/ted_test.cpp assert the equality). Only
+// Apted has a cached form (tree/tedengine.hpp); the two oracles always run
+// here, uncached.
 //
 // Costs default to the paper's unit weight for delete/insert/relabel, but a
 // TedCosts struct allows per-operation weights — the future-work knob the
@@ -45,9 +47,10 @@ enum class TedAlgo {
 struct TedOptions {
   TedAlgo algo = TedAlgo::Apted;
   TedCosts costs{};
-  /// Consulted by `tedDispatch` (tree/tedengine.hpp): route through the
-  /// shared-view engine (true) or the uncached reference below (false).
-  /// `ted()` itself always runs uncached and ignores this flag.
+  /// Consulted by `tedDispatch` (tree/tedengine.hpp): route Apted through
+  /// the shared-view engine (true) or the uncached reference below (false).
+  /// ZhangShasha and PathStrategy run uncached either way. `ted()` itself
+  /// always runs uncached and ignores this flag.
   bool useCache = true;
   /// Early-abandon threshold. 0 (the default) computes the exact distance.
   /// With cutoff > 0 every TED entry point returns exactly
@@ -147,8 +150,7 @@ struct RunCounters {
 /// Execute the strategy: recursively solve the subtree pairs hanging off
 /// each chosen path, then run the single-path kernel for the path itself.
 /// With `reuseBlocks`, repeated (fingerprint, fingerprint) subtree pairs
-/// replay their TD rectangle instead of recomputing (the engine's keyroot
-/// TD-block reuse generalised to whole single-path subproblems).
+/// replay their TD rectangle instead of recomputing.
 /// With `cutoff > 0` the whole-tree kernel early-abandons per the
 /// TedOptions::cutoff contract and `run` returns exactly cutoff; pairs
 /// that complete return the exact distance (callers clamp).

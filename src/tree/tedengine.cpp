@@ -33,189 +33,6 @@ private:
   std::unordered_map<std::string, u32> ids_;
 };
 
-/// Build one orientation: post-order positions, interned labels, leftmost
-/// leaves, keyroots, bottom-up Merkle fingerprints and the RTED subproblem
-/// estimate. Mirrors ted.cpp's makeView exactly (same traversal, same
-/// keyroot definition) so the DP semantics are unchanged; the fingerprints
-/// reuse Tree::fingerprint's hash recipe, evaluated in the view's own child
-/// order, so `left.fp[n] == t.fingerprint()`.
-EngineView makeEngineView(const Tree &t, bool mirrored, LabelInterner &interner) {
-  EngineView v;
-  v.n = t.size();
-  v.label.assign(v.n + 1, 0);
-  v.lml.assign(v.n + 1, 0);
-  v.fp.assign(v.n + 1, 0);
-  if (v.n == 0) return v;
-
-  std::vector<NodeId> order;
-  order.reserve(v.n);
-  std::vector<std::pair<NodeId, usize>> stack{{0, 0}};
-  while (!stack.empty()) {
-    auto &[id, cursor] = stack.back();
-    const auto &ch = t.node(id).children;
-    if (cursor < ch.size()) {
-      const NodeId next = mirrored ? ch[ch.size() - 1 - cursor] : ch[cursor];
-      ++cursor;
-      stack.emplace_back(next, 0);
-    } else {
-      order.push_back(id);
-      stack.pop_back();
-    }
-  }
-
-  std::vector<usize> pos(v.n, 0);
-  for (usize i = 0; i < order.size(); ++i) pos[order[i]] = i + 1;
-
-  for (usize i = 1; i <= v.n; ++i) {
-    const NodeId id = order[i - 1];
-    const auto &node = t.node(id);
-    v.label[i] = interner.intern(node.label);
-    const auto &ch = node.children;
-    if (ch.empty()) {
-      v.lml[i] = i;
-    } else {
-      const NodeId first = mirrored ? ch.back() : ch.front();
-      v.lml[i] = v.lml[pos[first]];
-    }
-    // Post-order guarantees children's fingerprints are already final.
-    u64 acc = fnv1a(node.label);
-    if (mirrored) {
-      for (auto it = ch.rbegin(); it != ch.rend(); ++it) acc = hashCombine(acc, v.fp[pos[*it]]);
-    } else {
-      for (const NodeId c : ch) acc = hashCombine(acc, v.fp[pos[c]]);
-    }
-    v.fp[i] = acc;
-  }
-
-  std::vector<bool> seen(v.n + 2, false);
-  for (usize i = v.n; i >= 1; --i) {
-    if (!seen[v.lml[i]]) {
-      v.keyroots.push_back(i);
-      seen[v.lml[i]] = true;
-    }
-    if (i == 1) break;
-  }
-  std::sort(v.keyroots.begin(), v.keyroots.end());
-
-  for (const usize k : v.keyroots) v.subproblems += static_cast<u64>(k - v.lml[k] + 1);
-  return v;
-}
-
-/// The TD entries a keyroot subproblem produces for an identical subtree
-/// pair, recorded once per distinct subtree and replayed for repeats. The
-/// values are a pure function of the subtree content and the costs (fixed
-/// within one DP run), so the copy is exact.
-struct TdBlock {
-  std::vector<usize> offs; ///< left-path-root offsets relative to lml, ascending
-  std::vector<u64> td;     ///< offs.size()^2 values, row-major
-};
-
-/// Zhang–Shasha over two engine views, byte-identical to ted.cpp's
-/// reference DP. Fingerprints add two reuse levels: keyroot subproblems
-/// whose subtrees are identical share their TD block (first occurrence runs
-/// the DP and records it; repeats copy), and the caller short-circuits
-/// whole-tree equality before ever reaching this function. With
-/// `cutoff > 0` returns min(exact, cutoff): the final keyroot pair — the
-/// only one spanning both whole trees, never block-replayed because equal
-/// trees short-circuit earlier — abandons once every completion of the
-/// current post-order prefix row is provably >= cutoff (the admissibility
-/// argument lives in tedapted.cpp's runKernelPairs).
-u64 zhangShashaEngine(const EngineView &a, const EngineView &b, const TedCosts &costs,
-                      std::atomic<u64> &blockHits, u64 cutoff = 0) {
-  if (a.n == 0) return static_cast<u64>(b.n) * costs.ins;
-  if (b.n == 0) return static_cast<u64>(a.n) * costs.del;
-
-  std::vector<u64> td((a.n + 1) * (b.n + 1), 0);
-  const auto TD = [&](usize i, usize j) -> u64 & { return td[i * (b.n + 1) + j]; };
-
-  std::vector<u64> fd((a.n + 2) * (b.n + 2), 0);
-
-  // Call-local: TD blocks depend on the costs, so they must not outlive the
-  // DP run. Keyed by (subtree fingerprint, subtree size).
-  std::unordered_map<u64, TdBlock> blocks;
-
-  for (const usize i : a.keyroots) {
-    const usize li = a.lml[i];
-    const usize rows = i - li + 2; // forest prefixes 0..(i-li+1)
-    for (const usize j : b.keyroots) {
-      const usize lj = b.lml[j];
-      const usize cols = j - lj + 2;
-
-      // Identical subtrees produce identical TD blocks: replay if recorded.
-      const bool same = a.fp[i] == b.fp[j] && i - li == j - lj;
-      const u64 blockKey = same ? hashCombine(a.fp[i], static_cast<u64>(i - li + 1)) : 0;
-      if (same) {
-        const auto it = blocks.find(blockKey);
-        if (it != blocks.end()) {
-          const auto &blk = it->second;
-          const usize m = blk.offs.size();
-          for (usize p = 0; p < m; ++p)
-            for (usize q = 0; q < m; ++q)
-              TD(li + blk.offs[p], lj + blk.offs[q]) = blk.td[p * m + q];
-          blockHits.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-      }
-
-      const auto FD = [&](usize x, usize y) -> u64 & { return fd[x * cols + y]; };
-      const bool wholeSpan = cutoff > 0 && rows - 1 == a.n && cols - 1 == b.n;
-
-      FD(0, 0) = 0;
-      for (usize x = 1; x < rows; ++x) FD(x, 0) = FD(x - 1, 0) + costs.del;
-      for (usize y = 1; y < cols; ++y) FD(0, y) = FD(0, y - 1) + costs.ins;
-
-      for (usize x = 1; x < rows; ++x) {
-        const usize di = li + x - 1; // node in a
-        for (usize y = 1; y < cols; ++y) {
-          const usize dj = lj + y - 1; // node in b
-          const u64 delCost = FD(x - 1, y) + costs.del;
-          const u64 insCost = FD(x, y - 1) + costs.ins;
-          if (a.lml[di] == li && b.lml[dj] == lj) {
-            const u64 ren = a.label[di] == b.label[dj] ? 0 : costs.rename;
-            const u64 sub = FD(x - 1, y - 1) + ren;
-            const u64 best = std::min({delCost, insCost, sub});
-            FD(x, y) = best;
-            TD(di, dj) = best;
-          } else {
-            // Jump over the complete subtrees rooted at di, dj.
-            const usize px = a.lml[di] - li; // forest prefix before subtree(di)
-            const usize py = b.lml[dj] - lj;
-            const u64 sub = FD(px, py) + TD(di, dj);
-            FD(x, y) = std::min({delCost, insCost, sub});
-          }
-        }
-        if (wholeSpan) {
-          u64 best = ~u64{0};
-          for (usize y = 0; y < cols; ++y) {
-            const u64 remA = a.n - x;
-            const u64 remB = b.n - y;
-            const u64 rem = remA >= remB ? (remA - remB) * costs.del : (remB - remA) * costs.ins;
-            best = std::min(best, FD(x, y) + rem);
-          }
-          if (best >= cutoff) return cutoff;
-        }
-      }
-
-      if (same) {
-        // Record this subproblem's left-path TD block. Identical subtrees
-        // share the left-path-root offset set, so one side's offsets apply
-        // to both.
-        TdBlock blk;
-        for (usize p = 0; p <= i - li; ++p)
-          if (a.lml[li + p] == li) blk.offs.push_back(p);
-        const usize m = blk.offs.size();
-        blk.td.resize(m * m);
-        for (usize p = 0; p < m; ++p)
-          for (usize q = 0; q < m; ++q)
-            blk.td[p * m + q] = TD(li + blk.offs[p], lj + blk.offs[q]);
-        blocks.emplace(blockKey, std::move(blk));
-      }
-    }
-  }
-  const u64 exact = TD(a.n, b.n);
-  return cutoff ? std::min(exact, cutoff) : exact;
-}
-
 /// Memo key for one unordered tree pair under fixed costs. ted(a, b,
 /// {del, ins, ren}) == ted(b, a, {ins, del, ren}) — reversing an edit
 /// script swaps deletions and insertions — so keys are canonicalised by
@@ -288,7 +105,6 @@ struct TedEngine::Impl {
   std::atomic<u64> viewHits{0}, viewMisses{0};
   std::atomic<u64> memoHits{0}, memoMisses{0};
   std::atomic<u64> wholeTreeShortcuts{0};
-  std::atomic<u64> keyrootBlockHits{0};
   std::atomic<u64> strategyHits{0}, strategyMisses{0};
   std::atomic<u64> spfKernels[4]{0, 0, 0, 0};
   std::atomic<u64> spfSubproblems[4]{0, 0, 0, 0};
@@ -319,8 +135,6 @@ std::shared_ptr<const TreeViews> TedEngine::views(const Tree &t) {
   auto built = std::make_shared<TreeViews>();
   built->size = t.size();
   built->rootFp = key.fp;
-  built->left = makeEngineView(t, false, impl_->interner);
-  built->right = makeEngineView(t, true, impl_->interner);
   built->sig = std::make_shared<const BoundSignature>(boundSignature(t));
   if (!t.empty()) {
     built->aptedIndex = std::make_shared<const apted::TreeIndex>(apted::buildIndex(
@@ -375,53 +189,36 @@ u64 TedEngine::ted(const Tree &a, const Tree &b, const TedOptions &options) {
 
   // Refine. The DP always executes in the memo's canonical orientation:
   // ted(a, b, {del, ins, ren}) == ted(b, a, {ins, del, ren}), and key.del /
-  // key.ins were swapped alongside the trees above — so strategy matrices,
-  // TD blocks and cutoff behaviour are shared by both query directions.
+  // key.ins were swapped alongside the trees above — so strategy matrices
+  // and cutoff behaviour are shared by both query directions. Strategy
+  // matrices are structural (cost-independent) and keyed by the canonical
+  // pair, so one strategy DP serves every cost configuration too.
   const TreeViews &A = swapped ? *vb : *va;
   const TreeViews &B = swapped ? *va : *vb;
-  const TedCosts dpCosts{key.del, key.ins, key.rename};
-
-  u64 result = 0;
-  if (options.algo == TedAlgo::Apted) {
-    // Strategy matrices are structural (cost-independent) and keyed by the
-    // canonical pair, so one DP serves every cost configuration and both
-    // directions of a tree pair.
-    const StratKey skey{key.fp1, key.fp2, key.n1, key.n2};
-    std::shared_ptr<const apted::Strategy> strat;
-    {
-      std::lock_guard lock(impl_->strategyMutex);
-      const auto it = impl_->strategies.find(skey);
-      if (it != impl_->strategies.end()) strat = it->second;
-    }
-    if (strat) {
-      impl_->strategyHits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      impl_->strategyMisses.fetch_add(1, std::memory_order_relaxed);
-      strat = std::make_shared<const apted::Strategy>(
-          apted::computeStrategy(*A.aptedIndex, *B.aptedIndex));
-      std::lock_guard lock(impl_->strategyMutex);
-      strat = impl_->strategies.emplace(skey, std::move(strat)).first->second;
-    }
-    apted::RunCounters rc;
-    result = apted::run(*A.aptedIndex, *B.aptedIndex, *strat, dpCosts,
-                        /*reuseBlocks=*/true, &rc, cutoff);
-    for (usize k = 0; k < 4; ++k) {
-      impl_->spfKernels[k].fetch_add(rc.kernels[k], std::memory_order_relaxed);
-      impl_->spfSubproblems[k].fetch_add(rc.subproblems[k], std::memory_order_relaxed);
-    }
-    impl_->subtreeBlockHits.fetch_add(rc.blockHits, std::memory_order_relaxed);
-  } else if (options.algo == TedAlgo::ZhangShasha) {
-    result = zhangShashaEngine(A.left, B.left, dpCosts, impl_->keyrootBlockHits, cutoff);
-  } else {
-    // PathStrategy: the subproblem estimates are precomputed per view, so
-    // strategy selection is O(1) instead of four view rebuilds per pair.
-    const u64 costLeft = A.left.subproblems * B.left.subproblems;
-    const u64 costRight = A.right.subproblems * B.right.subproblems;
-    if (costRight < costLeft)
-      result = zhangShashaEngine(A.right, B.right, dpCosts, impl_->keyrootBlockHits, cutoff);
-    else
-      result = zhangShashaEngine(A.left, B.left, dpCosts, impl_->keyrootBlockHits, cutoff);
+  const StratKey skey{key.fp1, key.fp2, key.n1, key.n2};
+  std::shared_ptr<const apted::Strategy> strat;
+  {
+    std::lock_guard lock(impl_->strategyMutex);
+    const auto it = impl_->strategies.find(skey);
+    if (it != impl_->strategies.end()) strat = it->second;
   }
+  if (strat) {
+    impl_->strategyHits.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    impl_->strategyMisses.fetch_add(1, std::memory_order_relaxed);
+    strat = std::make_shared<const apted::Strategy>(
+        apted::computeStrategy(*A.aptedIndex, *B.aptedIndex));
+    std::lock_guard lock(impl_->strategyMutex);
+    strat = impl_->strategies.emplace(skey, std::move(strat)).first->second;
+  }
+  apted::RunCounters rc;
+  const u64 result = apted::run(*A.aptedIndex, *B.aptedIndex, *strat,
+                                {key.del, key.ins, key.rename}, /*reuseBlocks=*/true, &rc, cutoff);
+  for (usize k = 0; k < 4; ++k) {
+    impl_->spfKernels[k].fetch_add(rc.kernels[k], std::memory_order_relaxed);
+    impl_->spfSubproblems[k].fetch_add(rc.subproblems[k], std::memory_order_relaxed);
+  }
+  impl_->subtreeBlockHits.fetch_add(rc.blockHits, std::memory_order_relaxed);
 
   if (cutoff > 0) {
     // result == cutoff may be an abandoned run (a lower bound, not the
@@ -444,7 +241,6 @@ EngineStats TedEngine::stats() const {
   s.memoHits = impl_->memoHits.load();
   s.memoMisses = impl_->memoMisses.load();
   s.wholeTreeShortcuts = impl_->wholeTreeShortcuts.load();
-  s.keyrootBlockHits = impl_->keyrootBlockHits.load();
   s.strategyHits = impl_->strategyHits.load();
   s.strategyMisses = impl_->strategyMisses.load();
   for (usize k = 0; k < 4; ++k) {
@@ -476,7 +272,6 @@ void TedEngine::clear() {
   impl_->memoHits = 0;
   impl_->memoMisses = 0;
   impl_->wholeTreeShortcuts = 0;
-  impl_->keyrootBlockHits = 0;
   impl_->strategyHits = 0;
   impl_->strategyMisses = 0;
   for (usize k = 0; k < 4; ++k) {
@@ -490,7 +285,8 @@ void TedEngine::clear() {
 }
 
 u64 tedDispatch(const Tree &a, const Tree &b, const TedOptions &options) {
-  if (options.useCache) return TedEngine::global().ted(a, b, options);
+  if (options.useCache && options.algo == TedAlgo::Apted)
+    return TedEngine::global().ted(a, b, options);
   return ted(a, b, options);
 }
 

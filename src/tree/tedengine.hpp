@@ -1,31 +1,30 @@
 // Shared-view TED engine (the perf layer over tree/ted, Section VII): the
 // pairwise TED calls over the cartesian product of model ports dominate
-// end-to-end runtime, and the uncached `tree::ted()` rebuilds post-order
-// views and re-interns every label string per comparison. The engine makes
-// each pair cheap by precomputing per-tree structure once:
+// end-to-end runtime, and the uncached `tree::ted()` rebuilds its per-tree
+// indices and re-interns every label string per comparison. The engine is
+// an Apted-only cache — the paper's TBMD uses one tree edit distance, and
+// Zhang–Shasha / PathStrategy exist only as uncached oracles in tree/ted —
+// that makes each pair cheap by precomputing per-tree structure once:
 //
-//  * a thread-safe global label interner (ids are append-only, so views
+//  * a thread-safe global label interner (ids are append-only, so indices
 //    built at different times stay comparable);
-//  * a per-tree cached `TreeViews` — both decomposition orientations plus
-//    Merkle-style subtree fingerprints and the RTED subproblem estimates —
-//    built once and shared across all O(M^2 * U) comparisons. Views are
-//    keyed by (structural fingerprint, node count), so byte-identical trees
-//    (shared headers across model ports) share one view;
-//  * an O(min(n1, n2)) whole-tree equality short-circuit (`ted == 0`) and a
-//    keyroot-level TD-block reuse for identical subtree pairs inside the
-//    Zhang–Shasha DP;
+//  * a per-tree cached `TreeViews` — the `apted::TreeIndex` (both
+//    decomposition orientations, Merkle-style subtree fingerprints) plus
+//    the lower-bound signature — built once and shared across all
+//    O(M^2 * U) comparisons. Views are keyed by (structural fingerprint,
+//    node count), so byte-identical trees (shared headers across model
+//    ports) share one view;
+//  * an O(min(n1, n2)) whole-tree equality short-circuit (`ted == 0`);
 //  * a symmetric pair memo keyed on (fingerprint, fingerprint, costs):
 //    ted(a, b, {del, ins, ren}) == ted(b, a, {ins, del, ren}), so
 //    diverge(a, b) and diverge(b, a) share the TED work and only the
 //    asymmetric dmax/unmatched accounting is recomputed;
-//  * for TedAlgo::Apted (the default): per-tree `apted::TreeIndex`es cached
-//    alongside the views, strategy matrices cached per *canonical*
-//    (fp1, n1, fp2, n2) pair — the DP always executes in the memo's
-//    canonical orientation (swapping trees and del/ins together preserves
-//    the distance), so one strategy matrix serves both query directions
-//    and, being cost-independent, every TedCosts — and the keyroot
-//    TD-block reuse generalised to whole single-path subproblems (any
-//    repeated (fingerprint, fingerprint) subtree pair replays its TD
+//  * strategy matrices cached per *canonical* (fp1, n1, fp2, n2) pair — the
+//    DP always executes in the memo's canonical orientation (swapping trees
+//    and del/ins together preserves the distance), so one strategy matrix
+//    serves both query directions and, being cost-independent, every
+//    TedCosts — and subtree-pair TD-rectangle reuse inside `apted::run`
+//    (any repeated (fingerprint, fingerprint) subtree pair replays its TD
 //    rectangle). Note the pair memo still answers same-cost repeats first:
 //    within a single cost configuration strategy hits stay at zero by
 //    design, and only distinct TedCosts (or cutoff-abandoned pairs that
@@ -35,9 +34,12 @@
 //    the threshold; otherwise the DP runs with in-kernel early abandon.
 //    Only exact results (below the cutoff) enter the pair memo.
 //
-// The engine is byte-identical to the uncached `tree::ted()` reference on
-// every input (tests/tree/tedengine_test.cpp and the corpus parity suite
-// assert this); `tree::ted()` itself stays untouched as the reference.
+// `tedDispatch` routes only TedAlgo::Apted through the engine; ZhangShasha
+// and PathStrategy always run the uncached reference, so `--algo zs|ps`
+// executes the algorithm it names. The engine is byte-identical to the
+// uncached `tree::ted()` reference on every input (tests/tree/
+// tedengine_test.cpp and the corpus parity suite check it against all
+// three uncached algorithms); `tree::ted()` itself stays untouched.
 #pragma once
 
 #include <memory>
@@ -47,29 +49,16 @@
 
 namespace sv::tree {
 
-/// One decomposition orientation of a tree, with everything Zhang–Shasha
-/// needs plus per-node subtree fingerprints.
-struct EngineView {
-  usize n = 0;
-  std::vector<u32> label;      ///< [1..n] globally interned label id
-  std::vector<usize> lml;      ///< [1..n] post-order index of leftmost leaf descendant
-  std::vector<usize> keyroots; ///< ascending
-  std::vector<u64> fp;         ///< [1..n] Merkle subtree fingerprint (orientation-aware)
-  u64 subproblems = 0;         ///< RTED relevant-subproblem estimate for this orientation
-};
-
-/// Both orientations of one tree, built once and shared between all pairs
-/// the tree participates in. `left.fp[n] == Tree::fingerprint()`.
+/// Per-tree structure, built once and shared between all pairs the tree
+/// participates in.
 struct TreeViews {
   usize size = 0;
-  u64 rootFp = 0;
-  EngineView left;  ///< natural child order
-  EngineView right; ///< mirrored child order (right-path decomposition)
-  /// Apted per-tree index (both orientations, canonical ids, keyroot sums),
-  /// labelled through the engine's global interner and shared like the
-  /// views. Null only for the empty tree.
+  u64 rootFp = 0; ///< Tree::fingerprint()
+  /// Apted per-tree index (both orientations, canonical ids, keyroot sums,
+  /// subtree fingerprints with `fp[size] == rootFp`), labelled through the
+  /// engine's global interner. Null only for the empty tree.
   std::shared_ptr<const apted::TreeIndex> aptedIndex;
-  /// Lower-bound signature (tree/tedbounds.hpp), cached with the views so
+  /// Lower-bound signature (tree/tedbounds.hpp), cached with the index so
   /// cutoff-mode prechecks are O(|sig|) merges on re-query, no tree walk.
   std::shared_ptr<const BoundSignature> sig;
 };
@@ -81,7 +70,7 @@ struct EngineStats {
   u64 memoHits = 0;            ///< ted() answered from the pair memo
   u64 memoMisses = 0;          ///< ted() that ran a DP
   u64 wholeTreeShortcuts = 0;  ///< ted() == 0 via equal root fingerprints
-  u64 keyrootBlockHits = 0;    ///< keyroot subproblems filled by TD-block copy
+  u64 keyrootBlockHits = 0;    ///< always 0; kept for the benchmark's per-layer report
   u64 strategyHits = 0;        ///< Apted strategy matrices served from the cache
   u64 strategyMisses = 0;      ///< Apted strategy matrices computed
   u64 spfKernels[4] = {0, 0, 0, 0};     ///< single-path kernels run, by apted::PathKind
@@ -108,11 +97,13 @@ public:
   /// The process-wide engine used by `tedDispatch`.
   static TedEngine &global();
 
-  /// Cached d_TED(a, b): byte-identical to `tree::ted(a, b, options)`.
-  /// Thread-safe; concurrent calls share views and memo entries.
+  /// Cached Apted d_TED(a, b): byte-identical to `tree::ted(a, b, options)`
+  /// for every algorithm, since all three return the same distance.
+  /// Ignores `options.algo` (and `options.useCache`): the engine runs only
+  /// Apted. Thread-safe; concurrent calls share views and memo entries.
   [[nodiscard]] u64 ted(const Tree &a, const Tree &b, const TedOptions &options = {});
 
-  /// The shared view of `t` (both orientations), building it on first use.
+  /// The shared view of `t`, building it on first use.
   /// Keyed by (fingerprint, size): structurally identical trees share.
   [[nodiscard]] std::shared_ptr<const TreeViews> views(const Tree &t);
 
@@ -127,9 +118,11 @@ private:
   std::unique_ptr<Impl> impl_;
 };
 
-/// Route through the global engine when `options.useCache` (the default), or
-/// the uncached reference `tree::ted()` otherwise — the engine on/off switch
-/// used by metrics::diverge and the benches.
+/// Route through the global engine when `options.useCache` (the default) and
+/// `options.algo` is Apted (the default), or the uncached reference
+/// `tree::ted()` otherwise — the engine on/off switch used by
+/// metrics::diverge and the benches. ZhangShasha and PathStrategy always
+/// run uncached.
 [[nodiscard]] u64 tedDispatch(const Tree &a, const Tree &b, const TedOptions &options = {});
 
 } // namespace sv::tree

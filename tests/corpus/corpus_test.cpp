@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "corpus/corpus.hpp"
-#include "support/combinators.hpp"
 
 using namespace sv;
 

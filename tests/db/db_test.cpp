@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "corpus/corpus.hpp"
 #include "db/codebase.hpp"
 #include "db/compiledb.hpp"
 #include "support/compress.hpp"
+#include "support/msgpack.hpp"
 
 using namespace sv;
 using namespace sv::db;
@@ -162,4 +165,106 @@ TEST(CodebaseDb, LinkForExecutionMergesTus) {
   }
   EXPECT_TRUE(hasMain);
   EXPECT_TRUE(hasSolve);
+}
+
+namespace {
+
+/// A real serialised DB (with coverage) to corrupt field by field.
+const std::vector<u8> &realDbBytes() {
+  static const auto bytes = [] {
+    db::IndexOptions opts;
+    opts.runCoverage = true;
+    return index(corpus::make("babelstream", "serial"), opts).db.serialise();
+  }();
+  return bytes;
+}
+
+/// realDbBytes() re-encoded with `edit` applied to its decoded top-level map.
+std::vector<u8> reencoded(const std::function<void(msgpack::Map &)> &edit) {
+  auto m = msgpack::decode(svz::decompress(realDbBytes())).asMap();
+  edit(m);
+  return svz::compress(msgpack::encode(msgpack::Value(std::move(m))));
+}
+
+/// Apply `edit` to the first coverage row.
+std::vector<u8> withFirstCoverageRow(const std::function<void(msgpack::Array &)> &edit) {
+  return reencoded([&](msgpack::Map &m) {
+    auto rows = m.at("coverage").asArray();
+    auto row = rows.at(0).asArray();
+    edit(row);
+    rows[0] = msgpack::Value(std::move(row));
+    m.at("coverage") = msgpack::Value(std::move(rows));
+  });
+}
+
+/// Apply `edit` to the first unit's `sigs` array, or erase every unit's
+/// `sigs` key when `edit` is null (a DB written before signatures existed).
+std::vector<u8> withSigs(const std::function<void(msgpack::Array &)> &edit) {
+  return reencoded([&](msgpack::Map &m) {
+    auto units = m.at("units").asArray();
+    for (usize i = 0; i < units.size(); ++i) {
+      auto unit = units[i].asMap();
+      if (!edit) {
+        unit.erase("sigs");
+      } else if (i == 0) {
+        auto sigs = unit.at("sigs").asArray();
+        edit(sigs);
+        unit.at("sigs") = msgpack::Value(std::move(sigs));
+      }
+      units[i] = msgpack::Value(std::move(unit));
+    }
+    m.at("units") = msgpack::Value(std::move(units));
+  });
+}
+
+} // namespace
+
+TEST(CodebaseDb, DeserialiseAcceptsUnmodifiedReencoding) {
+  // The control for the rejection tests below: without it, a re-encoding
+  // that broke every DB would make them pass vacuously.
+  const auto back = CodebaseDb::deserialise(reencoded([](msgpack::Map &) {}));
+  EXPECT_TRUE(back.hasCoverage);
+  EXPECT_FALSE(back.coverage.lineHits.empty());
+}
+
+TEST(CodebaseDb, DeserialiseRejectsShortCoverageRow) {
+  const auto bad = withFirstCoverageRow([](msgpack::Array &row) { row.pop_back(); });
+  EXPECT_THROW((void)CodebaseDb::deserialise(bad), ParseError);
+}
+
+TEST(CodebaseDb, DeserialiseRejectsLongCoverageRow) {
+  const auto bad = withFirstCoverageRow([](msgpack::Array &row) { row.emplace_back(1); });
+  EXPECT_THROW((void)CodebaseDb::deserialise(bad), ParseError);
+}
+
+TEST(CodebaseDb, DeserialiseRejectsTooFewSignatures) {
+  // Three of five: the last two trees would keep n = 0 signatures, whose
+  // lower bound against a real tree can exceed the exact distance.
+  const auto bad = withSigs([](msgpack::Array &sigs) { sigs.resize(3); });
+  EXPECT_THROW((void)CodebaseDb::deserialise(bad), ParseError);
+}
+
+TEST(CodebaseDb, DeserialiseRejectsTooManySignatures) {
+  const auto bad = withSigs([](msgpack::Array &sigs) { sigs.push_back(sigs.front()); });
+  EXPECT_THROW((void)CodebaseDb::deserialise(bad), ParseError);
+}
+
+TEST(CodebaseDb, DeserialiseRejectsSignatureOfWrongSize) {
+  const auto bad = withSigs([](msgpack::Array &sigs) {
+    auto sig = sigs.at(0).asMap();
+    sig.at("n") = msgpack::Value(sig.at("n").asInt() + 1);
+    sigs[0] = msgpack::Value(std::move(sig));
+  });
+  EXPECT_THROW((void)CodebaseDb::deserialise(bad), ParseError);
+}
+
+TEST(CodebaseDb, DeserialiseSelfHealsSignaturesOfLegacyDbs) {
+  const auto original = CodebaseDb::deserialise(realDbBytes());
+  const auto back = CodebaseDb::deserialise(withSigs(nullptr));
+  ASSERT_EQ(back.units.size(), original.units.size());
+  for (usize i = 0; i < back.units.size(); ++i) {
+    EXPECT_EQ(back.units[i].sigTsrc, original.units[i].sigTsrc);
+    EXPECT_EQ(back.units[i].sigTsem, original.units[i].sigTsem);
+    EXPECT_EQ(back.units[i].sigTir, original.units[i].sigTir);
+  }
 }

@@ -1,5 +1,5 @@
-// Property suite for the shared-view TED engine: the cached path must be
-// byte-identical to the uncached tree::ted() reference on every input, the
+// Property suite for the shared-view TED engine: the cached (Apted) path
+// must be byte-identical to every uncached tree::ted() algorithm, the
 // fingerprint short-circuits must fire where promised, and the global
 // engine must survive concurrent hammering (the divergenceMatrix pairs run
 // under parallelFor).
@@ -27,7 +27,7 @@ Tree randomTree(u32 seed, usize n) {
 }
 
 /// A tree that repeats the same grafted subtree several times — the shape
-/// that exercises the keyroot-level TD-block reuse (shared boilerplate
+/// that exercises the subtree-pair TD-rectangle reuse (shared boilerplate
 /// repeated within a unit).
 Tree treeWithDuplicates(u32 seed, usize stamp, usize copies) {
   auto t = randomTree(seed, 12);
@@ -62,7 +62,8 @@ TEST(TedEngine, StructurallyIdenticalTreesShareOneView) {
   EXPECT_EQ(s.viewMisses, 1u);
   EXPECT_EQ(s.viewHits, 1u);
   EXPECT_EQ(v1->rootFp, t.fingerprint());
-  EXPECT_EQ(v1->left.fp[v1->size], t.fingerprint());
+  ASSERT_TRUE(v1->aptedIndex);
+  EXPECT_EQ(v1->aptedIndex->fp[v1->size], t.fingerprint());
 }
 
 TEST(TedEngine, CachedEqualsUncachedOnRandomTrees) {
@@ -71,10 +72,12 @@ TEST(TedEngine, CachedEqualsUncachedOnRandomTrees) {
     std::mt19937 rng(seed);
     const auto a = randomTree(seed * 2 + 1, 10 + rng() % 60);
     const auto b = randomTree(seed * 2 + 2, 10 + rng() % 60);
+    // The engine runs Apted only; it must agree with every uncached oracle.
+    const u64 cached = engine.ted(a, b);
     for (const auto algo : {TedAlgo::ZhangShasha, TedAlgo::PathStrategy, TedAlgo::Apted}) {
       TedOptions opts;
       opts.algo = algo;
-      EXPECT_EQ(engine.ted(a, b, opts), ted(a, b, opts)) << "seed=" << seed;
+      EXPECT_EQ(cached, ted(a, b, opts)) << "seed=" << seed;
     }
   }
 }
@@ -90,20 +93,6 @@ TEST(TedEngine, CachedEqualsUncachedWithDuplicatedSubtrees) {
     const auto c = treeWithDuplicates(seed, 10, 5);
     EXPECT_EQ(engine.ted(a, c), ted(a, c)) << "seed=" << seed;
   }
-}
-
-TEST(TedEngine, RepeatedSubtreesShareTheirKeyrootTdBlock) {
-  // Root with several copies of the same subtree: every non-leftmost copy
-  // is a keyroot, so the cross product of copy keyroots yields identical
-  // subtree pairs whose TD block is computed once and replayed.
-  const auto kernel = build("For", {build("Decl"), build("BinOp", {build("Ref"), build("Lit")})});
-  const auto a = toTree(build("Fn", {kernel, kernel, kernel, build("Ret")}));
-  const auto b = toTree(build("Fn", {build("Decl"), kernel, kernel}));
-  TedEngine engine;
-  TedOptions zs;
-  zs.algo = TedAlgo::ZhangShasha;
-  EXPECT_EQ(engine.ted(a, b, zs), ted(a, b, zs));
-  EXPECT_GT(engine.stats().keyrootBlockHits, 0u);
 }
 
 TEST(TedEngine, StrategyMatrixIsSharedAcrossCostConfigurations) {
@@ -227,6 +216,45 @@ TEST(TedEngine, DispatchRespectsUseCacheFlag) {
   uncached.useCache = false;
   EXPECT_EQ(tedDispatch(a, b, cached), tedDispatch(a, b, uncached));
   EXPECT_EQ(tedDispatch(a, b, uncached), ted(a, b));
+}
+
+TEST(TedEngine, DispatchRunsZsAndPsUncached) {
+  // Only Apted is cached: with the engine switched on, the oracle
+  // algorithms still run the uncached reference they name and leave the
+  // engine's caches untouched.
+  const auto a = randomTree(14, 30);
+  const auto b = randomTree(15, 35);
+  auto &engine = TedEngine::global();
+  for (const auto algo : {TedAlgo::ZhangShasha, TedAlgo::PathStrategy}) {
+    TedOptions opts;
+    opts.algo = algo;
+    ASSERT_TRUE(opts.useCache);
+    const auto before = engine.stats();
+    EXPECT_EQ(tedDispatch(a, b, opts), ted(a, b, opts));
+    const auto after = engine.stats();
+    EXPECT_EQ(after.viewHits, before.viewHits);
+    EXPECT_EQ(after.viewMisses, before.viewMisses);
+    EXPECT_EQ(after.memoHits, before.memoHits);
+    EXPECT_EQ(after.memoMisses, before.memoMisses);
+  }
+}
+
+TEST(TedEngine, IgnoresTheAlgorithmOption) {
+  // The engine has one DP path: a ZhangShasha or PathStrategy request is
+  // served by the cached Apted result, which equals every oracle.
+  TedEngine engine;
+  const auto a = randomTree(16, 40);
+  const auto b = randomTree(17, 30);
+  const u64 apted = engine.ted(a, b);
+  for (const auto algo : {TedAlgo::ZhangShasha, TedAlgo::PathStrategy}) {
+    TedOptions opts;
+    opts.algo = algo;
+    const auto before = engine.stats();
+    EXPECT_EQ(engine.ted(a, b, opts), apted);
+    EXPECT_EQ(engine.stats().memoHits, before.memoHits + 1);
+    EXPECT_EQ(apted, ted(a, b, opts));
+  }
+  EXPECT_EQ(engine.stats().keyrootBlockHits, 0u);
 }
 
 TEST(TedEngine, ConcurrentHammeringStaysConsistent) {

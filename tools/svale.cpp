@@ -91,7 +91,8 @@ int usage() {
       "metrics: SLOC LLOC Source Tsrc Tsem Tsem+i Tir (default Tsem)\n"
       "oracles: round-trip vm ir ted lint lb deps range pipeline\n"
       "TED algorithms (--algo): apted (default) | ps | zs — all return\n"
-      "identical distances; ps/zs are the cross-check oracles\n"
+      "identical distances; apted runs through the cached TED engine,\n"
+      "ps/zs are the cross-check oracles and always run uncached\n"
       "--threads N caps the shared worker pool for every command\n"
       "(equivalent to the SV_THREADS environment variable)\n"
       "--pipeline streaming|barrier selects the stage-pipeline schedule\n"
@@ -101,8 +102,9 @@ int usage() {
   return 2;
 }
 
-/// TED options from --algo (engine stays on; all algorithms are
-/// byte-identical, the non-default ones exist as cross-check oracles).
+/// TED options from --algo. All algorithms are byte-identical; only apted
+/// (the default) runs through the cached engine, ps/zs are cross-check
+/// oracles that run the uncached reference.
 tree::TedOptions tedOptionsFrom(const Args &args) {
   tree::TedOptions opts;
   const auto it = args.flags.find("algo");
