@@ -90,6 +90,11 @@ std::vector<u8> decompress(const std::vector<u8> &compressed) {
     throw ParseError("svz: bad magic");
   u32 rawSize = 0;
   for (int i = 0; i < 4; ++i) rawSize |= static_cast<u32>(compressed[4 + static_cast<usize>(i)]) << (8 * i);
+  // A 2-byte match token expands to at most kMaxMatch bytes and literals and
+  // control bytes expand less, so no stream can honestly claim more. Checked
+  // before the reserve so a forged header cannot demand gigabytes.
+  if (rawSize > (compressed.size() - 8) * kMaxMatch / 2)
+    throw ParseError("svz: claimed size exceeds what the stream can encode");
 
   std::vector<u8> out;
   out.reserve(rawSize);

@@ -140,8 +140,13 @@ public:
   }
 
 private:
+  /// `.svdb` documents nest a few levels (trees are flat arrays), so this
+  /// cap never binds on real files.
+  static constexpr usize kMaxDepth = 64;
+
   const std::vector<u8> &bytes_;
   usize pos_ = 0;
+  usize depth_ = 0;
 
   u8 next() {
     if (pos_ >= bytes_.size()) throw ParseError("msgpack: unexpected end of input");
@@ -173,20 +178,33 @@ private:
     return b;
   }
 
+  /// Checks a container header before its elements are decoded: every
+  /// element takes at least one byte, so a declared length beyond the bytes
+  /// left is a lie; and nesting deeper than kMaxDepth is rejected before it
+  /// can exhaust the stack.
+  void enterContainer(usize n) {
+    if (n > bytes_.size() - pos_) throw ParseError("msgpack: container length overruns input");
+    if (++depth_ > kMaxDepth) throw ParseError("msgpack: containers nested too deep");
+  }
+
   Array getArray(usize n) {
+    enterContainer(n);
     Array a;
     a.reserve(n);
     for (usize i = 0; i < n; ++i) a.push_back(decodeValue());
+    --depth_;
     return a;
   }
 
   Map getMap(usize n) {
+    enterContainer(n);
     Map m;
     for (usize i = 0; i < n; ++i) {
       Value key = decodeValue();
       if (!key.isString()) throw ParseError("msgpack: non-string map key");
       m.emplace(key.asString(), decodeValue());
     }
+    --depth_;
     return m;
   }
 

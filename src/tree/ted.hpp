@@ -119,17 +119,19 @@ struct TreeIndex {
 enum class PathKind : u8 { LeftA = 0, RightA = 1, LeftB = 2, RightB = 3 };
 [[nodiscard]] const char *pathKindName(PathKind k);
 
-/// The per-subtree-pair decomposition plan. `pick[(v-1)*n2 + (w-1)]` holds
-/// the PathKind for canonical subtree pair (v, w); `cost` is the exact
-/// relevant-subproblem count of the optimal plan at the root pair (always
-/// <= the best whole-tree orientation product).
+/// The per-subtree-pair decomposition plan. Canonical subtree pair (v, w)
+/// owns slot k = (v-1)*n2 + (w-1); its PathKind is packed into bits
+/// 2*(k%4)..2*(k%4)+1 of `pick[k/4]`, four picks per byte. `cost` is the
+/// exact relevant-subproblem count of the optimal plan at the root pair
+/// (always <= the best whole-tree orientation product).
 struct Strategy {
   usize n1 = 0, n2 = 0;
   std::vector<u8> pick;
   u64 cost = 0;
 
   [[nodiscard]] PathKind at(usize v, usize w) const {
-    return static_cast<PathKind>(pick[(v - 1) * n2 + (w - 1)]);
+    const usize k = (v - 1) * n2 + (w - 1);
+    return static_cast<PathKind>((pick[k / 4] >> (2 * (k % 4))) & 3u);
   }
 };
 

@@ -17,9 +17,26 @@
 // Right-path kernels operate on mirrored post-order views — mirroring both
 // trees leaves the distance invariant — and translate positions back to
 // canonical ids so all four kernels share one TD table.
+//
+// Dense layout:
+//  * Cell width. Every TD/FD value is at most n1*del + n2*ins, and a cell
+//    adds at most one more operation cost to such a value, so when
+//    (n1 + n2 + 2) * max(del, ins, rename) < 2^32 nothing can wrap a u32.
+//    `run` tests that at entry and instantiates the kernels on u32 cells,
+//    else on u64 cells. Cutoff arithmetic stays u64.
+//  * Row split. A forest-DP row belongs to one A node; rows off A's keyroot
+//    path hold only jump cells and run without a test, and only rows on the
+//    path test B's side (see runKernelPairs).
+//  * Scratch. TD and FD live in a grow-only per-thread buffer that is
+//    never cleared (see threadTables for why that is safe); it holds
+//    2 * (n1+1) * (n2+1) cells of the largest pair the thread has run —
+//    23 MB at u32 for two 1708-node trees — until the thread exits.
+//  * Strategy picks are 2-bit PathKinds, four per byte (Strategy::at).
 #include "tree/ted.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <unordered_map>
 
 #include "support/hash.hpp"
@@ -83,20 +100,24 @@ OrientIndex makeOrient(const Tree &t, const Traversal &tr, bool mirrored,
 }
 
 /// Local keyroots of the subtree rooted at `root` (an orientation
-/// position), ascending: the root plus every proper descendant that is not
-/// on its parent's path in this orientation.
-std::vector<u32> localKeyroots(const OrientIndex &v, u32 root) {
-  std::vector<u32> out;
+/// position), ascending, into `out`: the root plus every proper descendant
+/// that is not on its parent's path in this orientation.
+void localKeyroots(const OrientIndex &v, u32 root, std::vector<u32> &out) {
+  out.clear();
   for (u32 u = v.lml[root]; u < root; ++u)
     if (!v.isPathChild[u]) out.push_back(u);
   out.push_back(root);
-  return out;
 }
 
 /// The Zhang–Shasha forest DP over every (A keyroot, B keyroot) pair of the
 /// given lists, in one orientation. Byte-identical recurrence to ted.cpp's
 /// reference; TD reads/writes go through the canonical maps so left- and
 /// right-orientation kernels share one table. Returns the DP cell count.
+///
+/// Rows are split by what the A node di needs: a row off A's keyroot path
+/// (lml(di) != li) holds only jump cells, so it runs without a test; only
+/// rows on the path test B's side. Each row hoists lml(di), the label and
+/// the TD row of canon(di); the B side is read as slices starting at lj.
 ///
 /// With `cutoff > 0`, the iteration spanning both *whole* trees (only ever
 /// the root pair's final kernel) early-abandons: after filling prefix row
@@ -109,44 +130,57 @@ std::vector<u32> localKeyroots(const OrientIndex &v, u32 root) {
 /// never fires when the exact distance is below the cutoff. Only the
 /// whole-tree span qualifies because inner iterations' FD rows are forest
 /// distances of partial keyroot forests, not tree prefixes.
-u64 runKernelPairs(const OrientIndex &A, const OrientIndex &B, const std::vector<u32> &aKrs,
-                   const std::vector<u32> &bKrs, const TedCosts &costs, std::vector<u64> &td,
-                   usize tdStride, std::vector<u64> &fd, usize fullA, usize fullB, u64 cutoff,
-                   bool *abandoned) {
+template <class Cell>
+u64 runKernelPairs(const OrientIndex &A, const OrientIndex &B, std::span<const u32> aKrs,
+                   std::span<const u32> bKrs, const TedCosts &costs, Cell *td, usize tdStride,
+                   Cell *fd, usize fullA, usize fullB, u64 cutoff, bool *abandoned) {
+  const Cell del = costs.del, ins = costs.ins, ren = costs.rename;
   u64 cells = 0;
-  const auto TD = [&](u32 ci, u32 cj) -> u64 & {
-    return td[static_cast<usize>(ci) * tdStride + cj];
-  };
   for (const u32 i : aKrs) {
     const u32 li = A.lml[i];
     const usize rows = i - li + 2; // forest prefixes 0..(i-li+1)
     for (const u32 j : bKrs) {
       const u32 lj = B.lml[j];
       const usize cols = j - lj + 2;
-      const auto FD = [&](usize x, usize y) -> u64 & { return fd[x * cols + y]; };
+      // Column y (>= 1) is B node dj = lj + y - 1, so these slices are
+      // indexed by y - 1.
+      const u32 *bLml = B.lml.data() + lj;
+      const u32 *bLabel = B.label.data() + lj;
+      const u32 *bCanon = B.toCanon.data() + lj;
       const bool wholeSpan = cutoff > 0 && rows - 1 == fullA && cols - 1 == fullB;
 
-      FD(0, 0) = 0;
-      for (usize x = 1; x < rows; ++x) FD(x, 0) = FD(x - 1, 0) + costs.del;
-      for (usize y = 1; y < cols; ++y) FD(0, y) = FD(0, y - 1) + costs.ins;
+      fd[0] = 0;
+      for (usize y = 1; y < cols; ++y) fd[y] = fd[y - 1] + ins;
 
       for (usize x = 1; x < rows; ++x) {
         const u32 di = li + static_cast<u32>(x) - 1;
-        for (usize y = 1; y < cols; ++y) {
-          const u32 dj = lj + static_cast<u32>(y) - 1;
-          const u64 delCost = FD(x - 1, y) + costs.del;
-          const u64 insCost = FD(x, y - 1) + costs.ins;
-          if (A.lml[di] == li && B.lml[dj] == lj) {
-            const u64 ren = A.label[di] == B.label[dj] ? 0 : costs.rename;
-            const u64 best = std::min({delCost, insCost, FD(x - 1, y - 1) + ren});
-            FD(x, y) = best;
-            TD(A.toCanon[di], B.toCanon[dj]) = best;
-          } else {
-            // Jump over the complete subtrees rooted at di, dj.
-            const usize px = A.lml[di] - li;
-            const usize py = B.lml[dj] - lj;
-            const u64 sub = FD(px, py) + TD(A.toCanon[di], B.toCanon[dj]);
-            FD(x, y) = std::min({delCost, insCost, sub});
+        const u32 aLml = A.lml[di];
+        const Cell *up = fd + (x - 1) * cols;
+        Cell *cur = fd + x * cols;
+        Cell *tdRow = td + static_cast<usize>(A.toCanon[di]) * tdStride;
+        // Jump cells read FD(lml(di) - li, lml(dj) - lj) + TD(di, dj).
+        const Cell *jumpRow = fd + (aLml - li) * cols;
+        Cell left = up[0] + del;
+        cur[0] = left;
+        if (aLml != li) {
+          for (usize y = 1; y < cols; ++y) {
+            const Cell sub = jumpRow[bLml[y - 1] - lj] + tdRow[bCanon[y - 1]];
+            left = std::min({up[y] + del, left + ins, sub});
+            cur[y] = left;
+          }
+        } else {
+          const u32 aLabel = A.label[di];
+          for (usize y = 1; y < cols; ++y) {
+            const Cell delCost = up[y] + del;
+            const Cell insCost = left + ins;
+            if (bLml[y - 1] == lj) {
+              const Cell r = aLabel == bLabel[y - 1] ? 0 : ren;
+              left = std::min({delCost, insCost, up[y - 1] + r});
+              tdRow[bCanon[y - 1]] = left;
+            } else {
+              left = std::min({delCost, insCost, jumpRow[bLml[y - 1] - lj] + tdRow[bCanon[y - 1]]});
+            }
+            cur[y] = left;
           }
         }
         if (wholeSpan) {
@@ -155,7 +189,7 @@ u64 runKernelPairs(const OrientIndex &A, const OrientIndex &B, const std::vector
           for (usize y = 0; y < cols; ++y) {
             const u64 remB = static_cast<u64>(fullB - y);
             const u64 rem = remA >= remB ? (remA - remB) * costs.del : (remB - remA) * costs.ins;
-            best = std::min(best, FD(x, y) + rem);
+            best = std::min(best, static_cast<u64>(cur[y]) + rem);
           }
           if (best >= cutoff) {
             cells += x * (cols - 1);
@@ -261,7 +295,7 @@ Strategy computeStrategy(const TreeIndex &a, const TreeIndex &b) {
   s.n2 = b.n;
   if (a.n == 0 || b.n == 0) return s;
   const usize n2 = b.n;
-  s.pick.assign(a.n * n2, 0);
+  s.pick.assign((a.n * n2 + 3) / 4, 0);
 
   // Rolling rows over w (1-based). cost(v, w) is the minimal subproblem
   // count for the pair; the H rows accumulate the recursive cost of the
@@ -332,7 +366,8 @@ Strategy computeStrategy(const TreeIndex &a, const TreeIndex &b) {
       costRow[w] = best;
       hplRow[w] = hpl;
       hprRow[w] = hpr;
-      s.pick[static_cast<usize>(v - 1) * n2 + (w - 1)] = static_cast<u8>(kind);
+      const usize k = static_cast<usize>(v - 1) * n2 + (w - 1);
+      s.pick[k / 4] |= static_cast<u8>(static_cast<u8>(kind) << (2 * (k % 4)));
     }
     rootCost = costRow[n2];
 
@@ -352,16 +387,37 @@ Strategy computeStrategy(const TreeIndex &a, const TreeIndex &b) {
   return s;
 }
 
-u64 run(const TreeIndex &a, const TreeIndex &b, const Strategy &strategy, const TedCosts &costs,
-        bool reuseBlocks, RunCounters *counters, u64 cutoff) {
-  if (a.n == 0) return std::min(static_cast<u64>(b.n) * costs.ins,
-                                cutoff ? cutoff : ~u64{0});
-  if (b.n == 0) return std::min(static_cast<u64>(a.n) * costs.del,
-                                cutoff ? cutoff : ~u64{0});
+namespace {
 
+/// Grow-only per-thread DP storage: `n` cells for the TD table followed by
+/// `n` for the FD table, where n = (n1 + 1) * (n2 + 1) bounds both. It is
+/// reused across runs and never cleared, which is safe because every TD
+/// read hits a cell that an earlier kernel or a block replay wrote in the
+/// same run (see the correctness sketch above), and every FD read hits a
+/// cell written earlier in the same keyroot iteration. `run` spawns no
+/// tasks, so a worker never re-enters it while its own run is under way.
+/// The storage lives until the thread exits and holds, per cell width, 2n
+/// cells of the largest pair that thread has run.
+template <class Cell>
+Cell *threadTables(usize n) {
+  thread_local std::unique_ptr<Cell[]> cells;
+  thread_local usize capacity = 0;
+  if (n > capacity) {
+    cells.reset();
+    cells = std::make_unique_for_overwrite<Cell[]>(2 * n);
+    capacity = n;
+  }
+  return cells.get();
+}
+
+template <class Cell>
+u64 runCells(const TreeIndex &a, const TreeIndex &b, const Strategy &strategy,
+             const TedCosts &costs, bool reuseBlocks, RunCounters *counters, u64 cutoff) {
   const usize tdStride = b.n + 1;
-  std::vector<u64> td((a.n + 1) * (b.n + 1), 0);
-  std::vector<u64> fd((a.n + 2) * (b.n + 2), 0);
+  const usize tableCells = (a.n + 1) * tdStride;
+  Cell *const td = threadTables<Cell>(tableCells);
+  Cell *const fd = td + tableCells;
+  thread_local std::vector<u32> keyroots;
 
   // Solved subtree-pair rectangles by content; repeats replay instead of
   // recomputing. Subtrees sharing a fingerprint are disjoint
@@ -394,8 +450,8 @@ u64 run(const TreeIndex &a, const TreeIndex &b, const Strategy &strategy, const 
           const u32 slv = a.left.lml[v0], slw = b.left.lml[w0];
           const usize cols = w - dlw + 1;
           for (u32 r = 0; r <= v - dlv; ++r) {
-            const u64 *src = &td[static_cast<usize>(slv + r) * tdStride + slw];
-            std::copy(src, src + cols, &td[static_cast<usize>(dlv + r) * tdStride + dlw]);
+            const Cell *src = td + static_cast<usize>(slv + r) * tdStride + slw;
+            std::copy(src, src + cols, td + static_cast<usize>(dlv + r) * tdStride + dlw);
           }
           if (counters) ++counters->blockHits;
           stack.pop_back();
@@ -431,23 +487,29 @@ u64 run(const TreeIndex &a, const TreeIndex &b, const Strategy &strategy, const 
     bool abandoned = false;
     switch (kind) {
     case PathKind::LeftA:
-      cells = runKernelPairs(a.left, b.left, {v}, localKeyroots(b.left, w), costs, td, tdStride,
-                             fd, a.n, b.n, cutoff, &abandoned);
+      localKeyroots(b.left, w, keyroots);
+      cells = runKernelPairs<Cell>(a.left, b.left, {&v, 1}, keyroots, costs, td, tdStride, fd,
+                                   a.n, b.n, cutoff, &abandoned);
       break;
-    case PathKind::RightA:
-      cells = runKernelPairs(a.right, b.right, {a.canonToRight[v]},
-                             localKeyroots(b.right, b.canonToRight[w]), costs, td, tdStride, fd,
-                             a.n, b.n, cutoff, &abandoned);
+    case PathKind::RightA: {
+      const u32 vr = a.canonToRight[v];
+      localKeyroots(b.right, b.canonToRight[w], keyroots);
+      cells = runKernelPairs<Cell>(a.right, b.right, {&vr, 1}, keyroots, costs, td, tdStride,
+                                   fd, a.n, b.n, cutoff, &abandoned);
       break;
+    }
     case PathKind::LeftB:
-      cells = runKernelPairs(a.left, b.left, localKeyroots(a.left, v), {w}, costs, td, tdStride,
-                             fd, a.n, b.n, cutoff, &abandoned);
+      localKeyroots(a.left, v, keyroots);
+      cells = runKernelPairs<Cell>(a.left, b.left, keyroots, {&w, 1}, costs, td, tdStride, fd,
+                                   a.n, b.n, cutoff, &abandoned);
       break;
-    case PathKind::RightB:
-      cells = runKernelPairs(a.right, b.right, localKeyroots(a.right, a.canonToRight[v]),
-                             {b.canonToRight[w]}, costs, td, tdStride, fd, a.n, b.n, cutoff,
-                             &abandoned);
+    case PathKind::RightB: {
+      const u32 wr = b.canonToRight[w];
+      localKeyroots(a.right, a.canonToRight[v], keyroots);
+      cells = runKernelPairs<Cell>(a.right, b.right, keyroots, {&wr, 1}, costs, td, tdStride,
+                                   fd, a.n, b.n, cutoff, &abandoned);
       break;
+    }
     }
     if (counters) {
       ++counters->kernels[static_cast<usize>(kind)];
@@ -460,6 +522,21 @@ u64 run(const TreeIndex &a, const TreeIndex &b, const Strategy &strategy, const 
   }
   const u64 exact = td[static_cast<usize>(a.n) * tdStride + b.n];
   return cutoff ? std::min(exact, cutoff) : exact;
+}
+
+} // namespace
+
+u64 run(const TreeIndex &a, const TreeIndex &b, const Strategy &strategy, const TedCosts &costs,
+        bool reuseBlocks, RunCounters *counters, u64 cutoff) {
+  if (a.n == 0) return std::min(static_cast<u64>(b.n) * costs.ins,
+                                cutoff ? cutoff : ~u64{0});
+  if (b.n == 0) return std::min(static_cast<u64>(a.n) * costs.del,
+                                cutoff ? cutoff : ~u64{0});
+  // The cell-width proof (see "Dense layout" above).
+  const u64 maxCost = std::max({costs.del, costs.ins, costs.rename});
+  if ((static_cast<u64>(a.n) + b.n + 2) * maxCost < (u64{1} << 32))
+    return runCells<u32>(a, b, strategy, costs, reuseBlocks, counters, cutoff);
+  return runCells<u64>(a, b, strategy, costs, reuseBlocks, counters, cutoff);
 }
 
 } // namespace sv::tree::apted

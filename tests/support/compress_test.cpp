@@ -65,6 +65,20 @@ TEST(Svz, TruncatedRejected) {
   EXPECT_THROW((void)svz::decompress(packed), ParseError);
 }
 
+TEST(Svz, ImpossibleClaimedSizeRejected) {
+  // A 12-byte stream cannot expand to 4 GiB; the header is rejected before
+  // anything is reserved.
+  auto packed = svz::compress(bytes("abc"));
+  ASSERT_EQ(packed.size(), 12u);
+  for (usize i = 4; i < 8; ++i) packed[i] = 0xFF;
+  try {
+    (void)svz::decompress(packed);
+    ADD_FAILURE() << "decompress accepted a 4 GiB claim";
+  } catch (const ParseError &e) {
+    EXPECT_NE(std::string(e.what()).find("claimed size"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Svz, LooksCompressed) {
   EXPECT_TRUE(svz::looksCompressed(svz::compress(bytes("x"))));
   EXPECT_FALSE(svz::looksCompressed(bytes("xyzw")));

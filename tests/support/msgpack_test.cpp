@@ -78,6 +78,19 @@ TEST(Msgpack, TruncatedInputRejected) {
   EXPECT_THROW((void)msgpack::decode(bytes), ParseError);
 }
 
+TEST(Msgpack, DeclaredLengthBeyondInputRejected) {
+  // array32 claiming 0xfffffff0 elements: rejected before any reserve.
+  EXPECT_THROW((void)msgpack::decode({0xdd, 0xff, 0xff, 0xff, 0xf0}), ParseError);
+  EXPECT_THROW((void)msgpack::decode({0xdf, 0xff, 0xff, 0xff, 0xf0}), ParseError);
+}
+
+TEST(Msgpack, DeepNestingRejected) {
+  // 200 000 nested one-element fixarrays would overflow the stack.
+  std::vector<u8> bytes(200000, 0x91);
+  bytes.push_back(0x00);
+  EXPECT_THROW((void)msgpack::decode(bytes), ParseError);
+}
+
 TEST(Msgpack, MapFieldAccess) {
   msgpack::Map m;
   m.emplace("x", Value(7));

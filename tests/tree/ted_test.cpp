@@ -255,19 +255,65 @@ TEST(Ted, StrategyCostNeverExceedsWholeTreeOrientations) {
 TEST(Ted, RunCountersMatchStrategyCost) {
   // Without block reuse, the executed forest-DP cell count equals the
   // strategy DP's predicted subproblem total — the cost model is exact.
+  // Strategy picks are packed four to a byte; n1*n2 mod 4 = 0, 1, 2, 3 puts
+  // the root pair's pick (slot n1*n2 - 1, decoded by every run) in each of
+  // the four positions of the last, partly filled byte.
   std::unordered_map<std::string, u32> ids;
   const auto intern = [&ids](const std::string &s) {
     return ids.emplace(s, static_cast<u32>(ids.size())).first->second;
   };
-  const auto a = randomTree(41, 60);
-  const auto b = randomTree(42, 70);
-  const auto ia = apted::buildIndex(a, intern);
-  const auto ib = apted::buildIndex(b, intern);
-  const auto strat = apted::computeStrategy(ia, ib);
-  apted::RunCounters rc;
-  const u64 d = apted::run(ia, ib, strat, {}, /*reuseBlocks=*/false, &rc);
-  EXPECT_EQ(d, tedZS(a, b));
-  EXPECT_EQ(rc.subproblems[0] + rc.subproblems[1] + rc.subproblems[2] + rc.subproblems[3],
-            strat.cost);
-  EXPECT_EQ(rc.blockHits, 0u);
+  const std::pair<usize, usize> sizes[] = {{60, 70}, {33, 41}, {42, 55}, {35, 37}, {1, 3}};
+  for (const auto &[n1, n2] : sizes) {
+    SCOPED_TRACE(testing::Message() << n1 << "x" << n2);
+    const auto a = randomTree(static_cast<u32>(41 + n1), n1);
+    const auto b = randomTree(static_cast<u32>(42 + n2), n2);
+    const auto ia = apted::buildIndex(a, intern);
+    const auto ib = apted::buildIndex(b, intern);
+    const auto strat = apted::computeStrategy(ia, ib);
+    EXPECT_EQ(strat.pick.size(), (n1 * n2 + 3) / 4);
+    apted::RunCounters rc;
+    const u64 d = apted::run(ia, ib, strat, {}, /*reuseBlocks=*/false, &rc);
+    EXPECT_EQ(d, tedZS(a, b));
+    EXPECT_EQ(rc.subproblems[0] + rc.subproblems[1] + rc.subproblems[2] + rc.subproblems[3],
+              strat.cost);
+    EXPECT_EQ(rc.blockHits, 0u);
+  }
+}
+
+TEST(Ted, WideCostsMatchReference) {
+  // del = 2^30 puts (n1 + n2 + 2) * max cost far past 2^32, so the kernels
+  // run on u64 cells; the distances themselves exceed 2^32 and would wrap
+  // in a u32 table.
+  for (u32 seed = 0; seed < 6; ++seed) {
+    std::mt19937 rng(seed);
+    const auto a = randomTree(seed * 2 + 301, 10 + rng() % 50);
+    const auto b = randomTree(seed * 2 + 302, 10 + rng() % 50);
+    for (const TedCosts costs : {TedCosts{1u << 30, 1, 1}, TedCosts{1u << 30, 1u << 30, 3},
+                                 TedCosts{5, 7, 1u << 31}}) {
+      const u64 ref = ted(a, b, TedOptions{TedAlgo::ZhangShasha, costs});
+      EXPECT_EQ(ted(a, b, TedOptions{TedAlgo::Apted, costs}), ref) << "seed=" << seed;
+      EXPECT_EQ(ted(b, a, TedOptions{TedAlgo::Apted, {costs.ins, costs.del, costs.rename}}), ref)
+          << "seed=" << seed;
+    }
+  }
+  // A distance of several times 2^32 on a small pair.
+  const auto a = randomTree(7, 12);
+  const Tree leaf = Tree::leaf("only");
+  const TedCosts costs{1u << 31, 1u << 31, 1u << 31};
+  EXPECT_GT(ted(a, leaf, TedOptions{TedAlgo::ZhangShasha, costs}), u64{1} << 32);
+  EXPECT_EQ(ted(a, leaf, TedOptions{TedAlgo::Apted, costs}),
+            ted(a, leaf, TedOptions{TedAlgo::ZhangShasha, costs}));
+}
+
+TEST(Ted, CellWidthThresholdMatchesReference) {
+  // n1 + n2 + 2 = 64, so a max cost of 2^26 - 1 keeps (n1 + n2 + 2) * max
+  // just below 2^32 (u32 cells) and 2^26 reaches it (u64 cells).
+  const auto a = randomTree(501, 30);
+  const auto b = randomTree(502, 32);
+  for (const u32 c : {(1u << 26) - 1, 1u << 26}) {
+    for (const TedCosts costs : {TedCosts{c, c, c}, TedCosts{c, 1, 1}, TedCosts{1, 1, c}}) {
+      const u64 ref = ted(a, b, TedOptions{TedAlgo::ZhangShasha, costs});
+      EXPECT_EQ(ted(a, b, TedOptions{TedAlgo::Apted, costs}), ref) << "c=" << c;
+    }
+  }
 }

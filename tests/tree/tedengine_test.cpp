@@ -283,3 +283,47 @@ TEST(TedEngine, ConcurrentHammeringStaysConsistent) {
     EXPECT_EQ(got[k], ted(pool[tasks[k].first], pool[tasks[k].second]))
         << tasks[k].first << " vs " << tasks[k].second;
 }
+
+TEST(TedEngine, ScratchReuseAcrossPairSizes) {
+  // The kernels' per-thread tables grow to the largest pair a thread has
+  // run and are never cleared: a small pair after a large one runs on stale
+  // cells, a large one after a small one on a grown table. Both orders, on
+  // one thread and mixed across pool workers, must match the uncached
+  // Zhang–Shasha reference.
+  const TedOptions zs{TedAlgo::ZhangShasha, {}};
+  const auto bigA = randomTree(901, 320);
+  const auto bigB = randomTree(902, 300);
+  const auto smallA = randomTree(903, 15);
+  const auto smallB = randomTree(904, 9);
+  const u64 bigRef = ted(bigA, bigB, zs);
+  const u64 smallRef = ted(smallA, smallB, zs);
+  {
+    TedEngine engine;
+    EXPECT_EQ(engine.ted(bigA, bigB), bigRef);
+    EXPECT_EQ(engine.ted(smallA, smallB), smallRef);
+  }
+  {
+    TedEngine engine;
+    EXPECT_EQ(engine.ted(smallB, smallA), smallRef);
+    EXPECT_EQ(engine.ted(bigB, bigA), bigRef);
+  }
+
+  std::vector<Tree> pool;
+  std::vector<std::pair<usize, usize>> tasks;
+  for (u32 s = 0; s < 4; ++s) {
+    pool.push_back(randomTree(910 + s, 300 + s * 10));
+    pool.push_back(randomTree(920 + s, 5 + s * 3));
+  }
+  for (usize i = 0; i < pool.size(); ++i)
+    for (usize j = 0; j < pool.size(); ++j)
+      if (i != j) tasks.emplace_back(i, j);
+  TedEngine engine;
+  std::vector<u64> got(tasks.size());
+  parallelFor(
+      tasks.size(),
+      [&](usize k) { got[k] = engine.ted(pool[tasks[k].first], pool[tasks[k].second]); },
+      /*threads=*/4);
+  for (usize k = 0; k < tasks.size(); ++k)
+    EXPECT_EQ(got[k], ted(pool[tasks[k].first], pool[tasks[k].second], zs))
+        << tasks[k].first << " vs " << tasks[k].second;
+}
