@@ -17,6 +17,10 @@
 //   stats    the streaming arm's NodeStats (occupancy, steals, queue
 //            depths) from the largest thread count go into the report —
 //            the self-reported numbers the --pipeline-stats flag surfaces.
+//   workers  every arm records the workers it actually ran: the drained
+//            NodeStats worker count for streaming arms, the shared pool's
+//            parallelFor cap for barrier arms. The bench exits non-zero
+//            when an arm ran fewer workers than its thread count.
 //
 // Usage: pipeline_bench [--runs N] [--out FILE] [--quick]
 //                       [--min-speedup X] [--threads-list a,b,c]
@@ -53,6 +57,28 @@ double nowMs() {
       .count();
 }
 
+/// Most workers any drained node (or child stage) ran with.
+usize maxWorkers(const std::vector<NodeStats> &nodes) {
+  usize w = 0;
+  for (const auto &n : nodes) {
+    w = std::max(w, n.workers);
+    for (const auto &c : n.children) w = std::max(w, c.workers);
+  }
+  return w;
+}
+
+/// Workers a barrier arm's parallelFor can use at `threads`: it clamps to
+/// the shared pool + 1.
+usize barrierWorkers(usize threads) {
+  return std::min(threads, sharedPool().threadCount() + 1);
+}
+
+/// One timed arm: median wall time and the fewest workers any run used.
+struct ArmResult {
+  double ms = 0;
+  usize workers = 0;
+};
+
 usize totalSteals(const std::vector<NodeStats> &nodes) {
   usize s = 0;
   for (const auto &n : nodes) {
@@ -65,8 +91,9 @@ usize totalSteals(const std::vector<NodeStats> &nodes) {
 /// Median wall time of indexAllPorts under one schedule; keeps the drained
 /// stats tree of the run with the most steals when `statsOut` is given
 /// (steal counts vary run to run — record a run where stealing showed up).
-double timeIndexMs(ExecMode mode, usize threads, usize runs, std::vector<NodeStats> *statsOut) {
+ArmResult timeIndex(ExecMode mode, usize threads, usize runs, std::vector<NodeStats> *statsOut) {
   std::vector<double> ms;
+  usize workers = ~usize{0};
   for (usize r = 0; r < runs; ++r) {
     (void)drainPipelineStats();
     silvervale::IndexAppOptions options;
@@ -78,18 +105,23 @@ double timeIndexMs(ExecMode mode, usize threads, usize runs, std::vector<NodeSta
     volatile usize sink = 0;
     for (const auto &p : ports) sink = sink + p.db.units.size();
     (void)sink;
-    if (statsOut) {
-      auto drained = drainPipelineStats();
-      if (r == 0 || totalSteals(drained) > totalSteals(*statsOut)) *statsOut = std::move(drained);
-    }
+    // Barrier ports index serially inside a port-level parallelFor, so
+    // their drained nodes report one worker each.
+    auto drained = drainPipelineStats();
+    workers = std::min(workers, mode == ExecMode::Barrier ? barrierWorkers(threads)
+                                                          : maxWorkers(drained));
+    if (statsOut && (r == 0 || totalSteals(drained) > totalSteals(*statsOut)))
+      *statsOut = std::move(drained);
   }
-  return median(ms);
+  return {median(ms), workers};
 }
 
-/// Median cold-engine wall time of the Tsem portMatrix under one schedule.
-double timeMatrixMs(const std::vector<silvervale::CorpusPort> &ports, ExecMode mode, usize runs,
-                    std::vector<NodeStats> *statsOut) {
+/// Median cold-engine wall time of the Tsem portMatrix under one schedule
+/// at the configured thread count.
+ArmResult timeMatrix(const std::vector<silvervale::CorpusPort> &ports, ExecMode mode, usize threads,
+                     usize runs, std::vector<NodeStats> *statsOut) {
   std::vector<double> ms;
+  usize workers = ~usize{0};
   for (usize r = 0; r < runs; ++r) {
     (void)drainPipelineStats();
     tree::TedEngine::global().clear();
@@ -100,12 +132,21 @@ double timeMatrixMs(const std::vector<silvervale::CorpusPort> &ports, ExecMode m
     volatile double sink = 0;
     for (const double v : m.values) sink = sink + v;
     (void)sink;
-    if (statsOut) {
-      auto drained = drainPipelineStats();
-      if (r == 0 || totalSteals(drained) > totalSteals(*statsOut)) *statsOut = std::move(drained);
-    }
+    auto drained = drainPipelineStats();
+    workers = std::min(workers, mode == ExecMode::Barrier ? barrierWorkers(threads)
+                                                          : maxWorkers(drained));
+    if (statsOut && (r == 0 || totalSteals(drained) > totalSteals(*statsOut)))
+      *statsOut = std::move(drained);
   }
-  return median(ms);
+  return {median(ms), workers};
+}
+
+/// Flags an arm that ran fewer workers than its thread count.
+bool shortOfWorkers(const char *what, const char *arm, const ArmResult &result, usize threads) {
+  if (result.workers >= threads) return false;
+  std::fprintf(stderr, "FAIL: %s %s arm ran %zu worker(s), asked for %zu\n", what, arm,
+               result.workers, threads);
+  return true;
 }
 
 json::Array statsToJson(const std::vector<NodeStats> &nodes) {
@@ -151,6 +192,12 @@ int main(int argc, char **argv) {
   std::sort(threadCounts.begin(), threadCounts.end());
   threadCounts.erase(std::unique(threadCounts.begin(), threadCounts.end()), threadCounts.end());
 
+  // The shared pool is sized once, by the thread count configured when it
+  // is first used, and every later parallel call clamps to it. Size it for
+  // the largest arm before any arm runs.
+  configureThreads(threadCounts.back());
+  (void)sharedPool();
+
   const usize hw = std::max<usize>(1, std::thread::hardware_concurrency());
   json::Object report;
   report.emplace("runs", json::Value(runs));
@@ -158,6 +205,7 @@ int main(int argc, char **argv) {
   report.emplace("min_speedup", json::Value(minSpeedup));
   bool failed = false;
   bool anyGated = false;
+  bool shortWorkers = false;
 
   // ---- indexAllPorts: barrier vs streaming per thread count -------------
   json::Array indexRows;
@@ -167,10 +215,11 @@ int main(int argc, char **argv) {
     // stream runtime clamp to the shared pool +1), so the comparison is
     // schedule-vs-schedule, not worker-count-vs-worker-count.
     configureThreads(t);
-    const double barrierMs = timeIndexMs(ExecMode::Barrier, t, runs, nullptr);
+    const ArmResult barrier = timeIndex(ExecMode::Barrier, t, runs, nullptr);
     const bool keepStats = t == threadCounts.back();
-    const double streamingMs =
-        timeIndexMs(ExecMode::Streaming, t, runs, keepStats ? &indexStats : nullptr);
+    const ArmResult streaming =
+        timeIndex(ExecMode::Streaming, t, runs, keepStats ? &indexStats : nullptr);
+    const double barrierMs = barrier.ms, streamingMs = streaming.ms;
     const double speedup = streamingMs > 0 ? barrierMs / streamingMs : 0;
     const bool gated = t >= 4 && t <= hw;
     anyGated = anyGated || gated;
@@ -180,9 +229,13 @@ int main(int argc, char **argv) {
     row.emplace("threads", json::Value(t));
     row.emplace("barrier_ms", json::Value(barrierMs));
     row.emplace("streaming_ms", json::Value(streamingMs));
+    row.emplace("barrier_workers", json::Value(barrier.workers));
+    row.emplace("streaming_workers", json::Value(streaming.workers));
     row.emplace("speedup", json::Value(speedup));
     row.emplace("gated", json::Value(gated));
     indexRows.emplace_back(std::move(row));
+    shortWorkers = shortOfWorkers("index", "barrier", barrier, t) || shortWorkers;
+    shortWorkers = shortOfWorkers("index", "streaming", streaming, t) || shortWorkers;
     if (gated && speedup < minSpeedup) {
       std::fprintf(stderr, "FAIL: index speedup %.2fx below the %.2fx floor at %zu threads\n",
                    speedup, minSpeedup, t);
@@ -208,8 +261,12 @@ int main(int argc, char **argv) {
   const auto ports = silvervale::indexAllPorts(idxOpts);
   (void)drainPipelineStats();
   std::vector<NodeStats> matrixStats;
-  const double matrixBarrierMs = timeMatrixMs(ports, ExecMode::Barrier, runs, nullptr);
-  const double matrixStreamingMs = timeMatrixMs(ports, ExecMode::Streaming, runs, &matrixStats);
+  const ArmResult matrixBarrier = timeMatrix(ports, ExecMode::Barrier, tMax, runs, nullptr);
+  const ArmResult matrixStreaming =
+      timeMatrix(ports, ExecMode::Streaming, tMax, runs, &matrixStats);
+  shortWorkers = shortOfWorkers("matrix", "barrier", matrixBarrier, tMax) || shortWorkers;
+  shortWorkers = shortOfWorkers("matrix", "streaming", matrixStreaming, tMax) || shortWorkers;
+  const double matrixBarrierMs = matrixBarrier.ms, matrixStreamingMs = matrixStreaming.ms;
   const double matrixSpeedup = matrixStreamingMs > 0 ? matrixBarrierMs / matrixStreamingMs : 0;
   std::printf("matrix: threads=%zu barrier %.1f ms, streaming %.1f ms, speedup %.2fx\n", tMax,
               matrixBarrierMs, matrixStreamingMs, matrixSpeedup);
@@ -218,6 +275,8 @@ int main(int argc, char **argv) {
   matrix.emplace("ports", json::Value(ports.size()));
   matrix.emplace("barrier_ms", json::Value(matrixBarrierMs));
   matrix.emplace("streaming_ms", json::Value(matrixStreamingMs));
+  matrix.emplace("barrier_workers", json::Value(matrixBarrier.workers));
+  matrix.emplace("streaming_workers", json::Value(matrixStreaming.workers));
   matrix.emplace("speedup", json::Value(matrixSpeedup));
   matrix.emplace("streaming_stats", json::Value(statsToJson(matrixStats)));
   report.emplace("matrix", json::Value(std::move(matrix)));
@@ -232,5 +291,5 @@ int main(int argc, char **argv) {
     return 1;
   }
   std::printf("wrote %s\n", outFile.c_str());
-  return failed ? 1 : 0;
+  return failed || shortWorkers ? 1 : 0;
 }

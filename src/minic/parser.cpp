@@ -28,6 +28,28 @@ private:
   TranslationUnit unit_;
   usize pos_ = 0;
 
+  /// Every recursive path of the descent passes through parseTopLevel,
+  /// parseStmt, tryParseType, parseAssignment or parseUnary, so counting
+  /// their live frames bounds the stack. A parenthesised expression costs
+  /// two levels; real sources stay far below the cap, while hostile
+  /// nesting fails with a FrontendError instead of overflowing the stack.
+  static constexpr usize kMaxNesting = 1000;
+  usize nesting_ = 0;
+
+  class NestingGuard {
+  public:
+    explicit NestingGuard(Parser &p) : p_(p) {
+      if (p_.nesting_ >= kMaxNesting) p_.fail("constructs nested too deep");
+      ++p_.nesting_;
+    }
+    ~NestingGuard() { --p_.nesting_; }
+    NestingGuard(const NestingGuard &) = delete;
+    NestingGuard &operator=(const NestingGuard &) = delete;
+
+  private:
+    Parser &p_;
+  };
+
   // ------------------------------------------------------ token helpers --
   [[nodiscard]] const Token &peek(usize ahead = 0) const {
     const usize i = std::min(pos_ + ahead, toks_.size() - 1);
@@ -83,6 +105,7 @@ private:
   /// cursor and returns nullopt. A type is:
   ///   'const'? name('::'name)* ('<' typeArgs '>')? '*'* '&'? 'const'?
   [[nodiscard]] std::optional<Type> tryParseType() {
+    const NestingGuard guard(*this);
     const usize save = pos_;
     Type t;
     if (acceptKeyword("const")) t.isConst = true;
@@ -157,6 +180,7 @@ private:
   }
 
   void parseTopLevel(const std::string &nsPrefix) {
+    const NestingGuard guard(*this);
     // Pragmas at file scope (e.g. `#pragma omp declare target`).
     if (at(TokKind::Pragma)) {
       const Token &tok = advance();
@@ -340,6 +364,7 @@ private:
   }
 
   [[nodiscard]] StmtPtr parseStmt() {
+    const NestingGuard guard(*this);
     const Location l = loc();
     if (at(TokKind::Pragma)) {
       const Token &tok = advance();
@@ -491,6 +516,7 @@ private:
   }
 
   [[nodiscard]] ExprPtr parseAssignment() {
+    const NestingGuard guard(*this);
     auto lhs = parseConditional();
     static const std::string_view ops[] = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^="};
     for (const auto op : ops) {
@@ -568,6 +594,7 @@ private:
   }
 
   [[nodiscard]] ExprPtr parseUnary() {
+    const NestingGuard guard(*this);
     static const std::string_view ops[] = {"!", "-", "+", "~", "*", "&", "++", "--"};
     for (const auto op : ops) {
       if (atPunct(op)) {

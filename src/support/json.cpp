@@ -25,8 +25,14 @@ public:
   }
 
 private:
+  /// The project's documents (compile_commands.json, bench records) nest a
+  /// few levels, so this cap never binds on them; it stops hostile nesting
+  /// before the recursive descent exhausts the stack.
+  static constexpr usize kMaxDepth = 64;
+
   std::string_view text_;
   usize pos_ = 0;
+  usize depth_ = 0;
 
   [[nodiscard]] char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
   char next() {
@@ -74,12 +80,18 @@ private:
     }
   }
 
+  void enterContainer() {
+    if (++depth_ > kMaxDepth) fail(pos_, "containers nested too deep");
+  }
+
   Value parseObject() {
+    enterContainer();
     expect('{');
     Object obj;
     skipWs();
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return Value(std::move(obj));
     }
     while (true) {
@@ -93,15 +105,18 @@ private:
       if (c == '}') break;
       if (c != ',') fail(pos_ - 1, "expected ',' or '}' in object");
     }
+    --depth_;
     return Value(std::move(obj));
   }
 
   Value parseArray() {
+    enterContainer();
     expect('[');
     Array arr;
     skipWs();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return Value(std::move(arr));
     }
     while (true) {
@@ -111,6 +126,7 @@ private:
       if (c == ']') break;
       if (c != ',') fail(pos_ - 1, "expected ',' or ']' in array");
     }
+    --depth_;
     return Value(std::move(arr));
   }
 

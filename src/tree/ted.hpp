@@ -5,14 +5,14 @@
 //  * PathStrategy — a whole-tree orientation pick: the relevant-subproblem
 //    count of the left-path and right-path decompositions is computed first
 //    and the cheaper one is executed on (possibly mirrored) trees.
-//  * Apted — in the spirit of APTED/RTED [Pawlik & Augsten 2011/2016]: an
-//    O(n1*n2) strategy DP picks, for *every subtree pair*, the cheapest
-//    root-leaf path decomposition (left or right path, in either tree —
-//    the inner/heavy path is approximated by decomposing the larger side)
-//    using exact relevant-subproblem counts, and the distance phase
-//    executes that plan recursively through single-path kernels. On the
-//    deep, skewed T_ir trees the paper calls out (Section IV-E) this is a
-//    multiplicative win over any whole-tree orientation.
+//  * Apted — in the spirit of APTED/RTED [Pawlik & Augsten 2011/2016]: a
+//    strategy DP over subtree shape classes picks, for *every subtree
+//    pair*, the cheapest root-leaf path decomposition (left or right path,
+//    in either tree — the inner/heavy path is approximated by decomposing
+//    the larger side) using exact relevant-subproblem counts, and the
+//    distance phase executes that plan recursively through single-path
+//    kernels. On the deep, skewed T_ir trees the paper calls out (Section
+//    IV-E) this is a multiplicative win over any whole-tree orientation.
 //
 // All three return identical distances on every input; ZhangShasha and
 // PathStrategy stay selectable as the cross-check oracles for Apted (the
@@ -27,6 +27,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 
 #include "tree/tree.hpp"
 
@@ -91,6 +92,25 @@ struct OrientIndex {
   std::vector<u8> isPathChild; ///< [1..n] node is the first child of its parent (this orientation)
 };
 
+/// The label-free subtree shapes of one tree, interned exactly: two nodes
+/// share a class iff their subtrees have the same shape (same child count,
+/// and child by child the same class, in order). Class ids are 0-based and
+/// numbered by first appearance in canonical post-order, so every class's
+/// children have smaller ids and class 0 is the leaf. The strategy DP
+/// depends on a subtree pair only through these classes.
+struct ShapeClasses {
+  std::vector<u32> childBegin; ///< [0..m] offsets into `child`
+  std::vector<u32> child;      ///< child class ids of every class, in source order
+  std::vector<u32> sz;         ///< [0..m) subtree size
+  std::vector<u64> krSumLeft;  ///< [0..m) keyroot relevant-forest sum, left paths
+  std::vector<u64> krSumRight; ///< [0..m) keyroot relevant-forest sum, right paths
+
+  [[nodiscard]] usize size() const { return sz.size(); }
+  [[nodiscard]] std::span<const u32> children(u32 c) const {
+    return {child.data() + childBegin[c], childBegin[c + 1] - childBegin[c]};
+  }
+};
+
 /// Everything the strategy DP and the distance kernels need for one tree,
 /// built once in O(n). Canonical node ids are 1-based left post-order.
 struct TreeIndex {
@@ -98,12 +118,11 @@ struct TreeIndex {
   OrientIndex left;                       ///< canonical orientation (toCanon = identity)
   OrientIndex right;                      ///< mirrored child order
   std::vector<u32> canonToRight;          ///< [1..n] canonical -> right post-order position
-  std::vector<u32> parent;                ///< [1..n] canonical parent (0 for the root)
   std::vector<std::vector<u32>> children; ///< [1..n] canonical ids, source order
   std::vector<u32> sz;                    ///< [1..n] subtree size
-  std::vector<u64> krSumLeft;             ///< [1..n] keyroot relevant-forest sum, left paths
-  std::vector<u64> krSumRight;            ///< [1..n] keyroot relevant-forest sum, right paths
   std::vector<u64> fp;                    ///< [1..n] Merkle subtree fingerprint (canonical order)
+  std::vector<u32> shape;                 ///< [1..n] shape class id of the subtree
+  ShapeClasses classes;
 };
 
 /// Index `t` for the Apted pipeline. `intern` supplies label ids; both
@@ -119,26 +138,27 @@ struct TreeIndex {
 enum class PathKind : u8 { LeftA = 0, RightA = 1, LeftB = 2, RightB = 3 };
 [[nodiscard]] const char *pathKindName(PathKind k);
 
-/// The per-subtree-pair decomposition plan. Canonical subtree pair (v, w)
-/// owns slot k = (v-1)*n2 + (w-1); its PathKind is packed into bits
-/// 2*(k%4)..2*(k%4)+1 of `pick[k/4]`, four picks per byte. `cost` is the
-/// exact relevant-subproblem count of the optimal plan at the root pair
-/// (always <= the best whole-tree orientation product).
+/// The decomposition plan, per pair of shape classes: subtree pair (v, w)
+/// follows the pick of (shape[v], shape[w]). Class pair (ca, cb) owns slot
+/// k = ca*m2 + cb; its PathKind is packed into bits 2*(k%4)..2*(k%4)+1 of
+/// `pick[k/4]`, four picks per byte. `cost` is the exact relevant-subproblem
+/// count of the optimal plan at the root pair (always <= the best
+/// whole-tree orientation product).
 struct Strategy {
-  usize n1 = 0, n2 = 0;
+  usize m1 = 0, m2 = 0;
   std::vector<u8> pick;
   u64 cost = 0;
 
-  [[nodiscard]] PathKind at(usize v, usize w) const {
-    const usize k = (v - 1) * n2 + (w - 1);
+  [[nodiscard]] PathKind at(u32 ca, u32 cb) const {
+    const usize k = static_cast<usize>(ca) * m2 + cb;
     return static_cast<PathKind>((pick[k / 4] >> (2 * (k % 4))) & 3u);
   }
 };
 
-/// The O(n1*n2) strategy DP over all subtree pairs, bottom-up in both
-/// trees. Structural only: independent of TedCosts, so one matrix serves
-/// every cost configuration of a tree pair (the engine caches it by
-/// fingerprint pair).
+/// The strategy DP over all pairs of shape classes, bottom-up in both
+/// trees: O(m1*m2) cells plus one row add per child slot. Structural only:
+/// independent of labels and TedCosts, so one plan serves every cost
+/// configuration of a tree pair (the engine caches it by fingerprint pair).
 [[nodiscard]] Strategy computeStrategy(const TreeIndex &a, const TreeIndex &b);
 
 /// Execution counters for one distance run, attributed per path kind so

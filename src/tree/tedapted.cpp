@@ -1,6 +1,17 @@
 // The APTED-class TED core (tree/ted.hpp `apted` namespace): per-tree
-// indices, the O(n1*n2) optimal path-strategy DP, and the single-path
-// distance kernels that execute the plan recursively.
+// indices, the optimal path-strategy DP, and the single-path distance
+// kernels that execute the plan recursively.
+//
+// Strategy over shape classes. The strategy DP is structural: the cost and
+// pick of subtree pair (v, w) depend only on the label-free shapes of
+// subtree(v) and subtree(w). `buildIndex` interns each tree's subtree
+// shapes into exact classes (numbered by first post-order appearance, so
+// children precede parents), and `computeStrategy` runs the recurrence
+// over class pairs: m1*m2 cells instead of n1*n2, where program trees have
+// few shapes (a 1680-node T_ir tree has 50). A class's cost/H_L/H_R rows
+// (3*m2 u64) are recycled once its last parent class has read them, so
+// the DP scratch is 3*m2 words per finished class with an unfinished
+// parent, plus two H' rows; `run` looks up the pick of (shape[v], shape[w]).
 //
 // Correctness sketch. `run(v, w)` fills TD(a, b) for *every* pair
 // a in subtree(v), b in subtree(w):
@@ -31,7 +42,8 @@
 //    never cleared (see threadTables for why that is safe); it holds
 //    2 * (n1+1) * (n2+1) cells of the largest pair the thread has run —
 //    23 MB at u32 for two 1708-node trees — until the thread exits.
-//  * Strategy picks are 2-bit PathKinds, four per byte (Strategy::at).
+//  * Strategy picks are 2-bit PathKinds, four per byte, one per class pair
+//    (Strategy::at): m1*m2/4 bytes.
 #include "tree/ted.hpp"
 
 #include <algorithm>
@@ -232,6 +244,56 @@ const char *pathKindName(PathKind k) {
   return "?";
 }
 
+namespace {
+
+/// Interns label-free subtree shapes by their exact child-class sequence.
+/// The hash only picks a chain; membership compares the sequences, so two
+/// different shapes never share a class.
+class ShapeInterner {
+public:
+  explicit ShapeInterner(ShapeClasses &classes) : classes_(classes) {
+    classes_.childBegin.assign(1, 0);
+  }
+
+  u32 intern(std::span<const u32> kids) {
+    u64 h = kids.size();
+    for (const u32 c : kids) h = hashCombine(h, c);
+    const auto [it, fresh] = heads_.try_emplace(h, kNone);
+    for (u32 c = it->second; c != kNone; c = next_[c]) {
+      const auto have = classes_.children(c);
+      if (std::equal(have.begin(), have.end(), kids.begin(), kids.end())) return c;
+    }
+    // New class. krSum follows L(u) = span(u) + sum_c L(c) - span(pathChild),
+    // where a node's relevant-forest span in either orientation is its
+    // subtree size: the path child's own relevant forest merges into u's
+    // extended span, every other child keeps its keyroots.
+    const auto id = static_cast<u32>(classes_.size());
+    u32 size = 1;
+    u64 sumL = 0, sumR = 0;
+    for (const u32 c : kids) {
+      size += classes_.sz[c];
+      sumL += classes_.krSumLeft[c];
+      sumR += classes_.krSumRight[c];
+    }
+    classes_.child.insert(classes_.child.end(), kids.begin(), kids.end());
+    classes_.childBegin.push_back(static_cast<u32>(classes_.child.size()));
+    classes_.sz.push_back(size);
+    classes_.krSumLeft.push_back(size + sumL - (kids.empty() ? 0 : classes_.sz[kids.front()]));
+    classes_.krSumRight.push_back(size + sumR - (kids.empty() ? 0 : classes_.sz[kids.back()]));
+    next_.push_back(it->second);
+    it->second = id;
+    return id;
+  }
+
+private:
+  static constexpr u32 kNone = ~u32{0};
+  ShapeClasses &classes_;
+  std::unordered_map<u64, u32> heads_; ///< hash -> newest class with it
+  std::vector<u32> next_;              ///< class -> older class with the same hash
+};
+
+} // namespace
+
 TreeIndex buildIndex(const Tree &t, const std::function<u32(const std::string &)> &intern) {
   TreeIndex ix;
   ix.n = t.size();
@@ -244,102 +306,96 @@ TreeIndex buildIndex(const Tree &t, const std::function<u32(const std::string &)
   ix.canonToRight.assign(ix.n + 1, 0);
   for (usize r = 1; r <= ix.n; ++r) ix.canonToRight[ix.right.toCanon[r]] = static_cast<u32>(r);
 
-  ix.parent.assign(ix.n + 1, 0);
   ix.children.assign(ix.n + 1, {});
   ix.sz.assign(ix.n + 1, 0);
-  ix.krSumLeft.assign(ix.n + 1, 0);
-  ix.krSumRight.assign(ix.n + 1, 0);
   ix.fp.assign(ix.n + 1, 0);
+  ix.shape.assign(ix.n + 1, 0);
 
-  // Relevant-forest span of the path rooted at a canonical node, per
-  // orientation: position-independent, so global post-order spans serve
-  // every subtree-local computation.
-  const auto lspan = [&](u32 cpos) { return static_cast<u64>(cpos - ix.left.lml[cpos] + 1); };
-  const auto rspan = [&](u32 cpos) {
-    const u32 rp = ix.canonToRight[cpos];
-    return static_cast<u64>(rp - ix.right.lml[rp] + 1);
-  };
-
+  ShapeInterner shapes(ix.classes);
+  std::vector<u32> kidShapes;
   for (u32 i = 1; i <= ix.n; ++i) {
-    const NodeId id = L.order[i - 1];
-    const auto &node = t.node(id);
-    if (node.parent != kNoParent) ix.parent[i] = L.pos[node.parent];
+    const auto &node = t.node(L.order[i - 1]);
     auto &ch = ix.children[i];
     ch.reserve(node.children.size());
     for (const NodeId c : node.children) ch.push_back(L.pos[c]);
 
-    // Post-order: every child's aggregate is final here. The keyroot sums
-    // follow L(u) = span(u) + sum_c L(c) - span(pathChild): the path
-    // child's own relevant forest merges into u's extended span, every
-    // other child keeps its keyroots.
+    // Post-order: every child's aggregate is final here.
     u32 size = 1;
     u64 fp = fnv1a(node.label);
-    u64 sumL = 0, sumR = 0;
+    kidShapes.clear();
     for (const u32 c : ch) {
       size += ix.sz[c];
       fp = hashCombine(fp, ix.fp[c]);
-      sumL += ix.krSumLeft[c];
-      sumR += ix.krSumRight[c];
+      kidShapes.push_back(ix.shape[c]);
     }
     ix.sz[i] = size;
     ix.fp[i] = fp;
-    ix.krSumLeft[i] = lspan(i) + sumL - (ch.empty() ? 0 : lspan(ch.front()));
-    ix.krSumRight[i] = rspan(i) + sumR - (ch.empty() ? 0 : rspan(ch.back()));
+    ix.shape[i] = shapes.intern(kidShapes);
   }
   return ix;
 }
 
 Strategy computeStrategy(const TreeIndex &a, const TreeIndex &b) {
+  const ShapeClasses &A = a.classes, &B = b.classes;
   Strategy s;
-  s.n1 = a.n;
-  s.n2 = b.n;
-  if (a.n == 0 || b.n == 0) return s;
-  const usize n2 = b.n;
-  s.pick.assign((a.n * n2 + 3) / 4, 0);
+  s.m1 = A.size();
+  s.m2 = B.size();
+  if (s.m1 == 0 || s.m2 == 0) return s;
+  const usize m1 = s.m1, m2 = s.m2;
+  s.pick.assign((m1 * m2 + 3) / 4, 0);
 
-  // Rolling rows over w (1-based). cost(v, w) is the minimal subproblem
-  // count for the pair; the H rows accumulate the recursive cost of the
-  // subtree pairs hanging off each candidate path:
-  //   H_L(v, w)  = sum over subtrees f hanging off v's left path of cost(f, w)
-  //              = H_L(firstChild) + sum over the other children's cost
-  //   H'_L(v, w) = the symmetric sum for w's left path (within-row, since
-  //                w's children precede w in post-order)
-  // and right-path variants. Only O(depth) parent accumulators plus the
-  // previous node's rows are alive at any time, keeping the DP at
-  // O(n1*n2) time and O(depth1 * n2) extra space.
-  std::vector<u64> costRow(n2 + 1, 0), hlRow(n2 + 1, 0), hrRow(n2 + 1, 0);
-  std::vector<u64> hplRow(n2 + 1, 0), hprRow(n2 + 1, 0);
-  std::vector<u64> prevCost(n2 + 1, 0), prevHr(n2 + 1, 0);
+  // One row per A class, over B classes. cost(ca, cb) is the minimal
+  // subproblem count of any subtree pair with those shapes; the H rows
+  // accumulate the recursive cost of the subtree pairs hanging off each
+  // candidate path:
+  //   H_L(ca, cb)  = sum over subtrees hanging off ca's left path of cost(., cb)
+  //                = H_L(first child) + sum over the other children's cost
+  //   H'_L(ca, cb) = the symmetric sum for cb's left path (within-row, since
+  //                  cb's children have smaller ids)
+  // and right-path variants. A class's cost/H_L/H_R rows live until its
+  // last parent class has read them, then their slot is recycled.
+  constexpr u32 kNone = ~u32{0};
+  std::vector<u32> lastParent(m1, kNone);
+  for (u32 p = 0; p < m1; ++p)
+    for (const u32 c : A.children(p)) lastParent[c] = p;
 
-  struct ParentAcc {
-    std::vector<u64> sumAll;          ///< sum of completed children's cost rows
-    std::vector<u64> c1Cost, c1Hl;    ///< first child's cost and H_L rows
-  };
-  std::unordered_map<u32, ParentAcc> accs;
+  std::vector<std::unique_ptr<u64[]>> slots; // 3 * m2 each: cost, H_L, H_R
+  std::vector<u32> freeSlots;
+  std::vector<u32> slotOf(m1, kNone);
+  std::vector<u64> hplRow(m2), hprRow(m2);
+  const auto rowsOf = [&](u32 c) { return slots[slotOf[c]].get(); };
 
-  u64 rootCost = 0;
-  for (u32 v = 1; v <= a.n; ++v) {
-    const auto &chA = a.children[v];
+  for (u32 ca = 0; ca < m1; ++ca) {
+    if (freeSlots.empty()) {
+      freeSlots.push_back(static_cast<u32>(slots.size()));
+      slots.push_back(std::make_unique_for_overwrite<u64[]>(3 * m2));
+    }
+    slotOf[ca] = freeSlots.back();
+    freeSlots.pop_back();
+    u64 *const costRow = rowsOf(ca);
+    u64 *const hlRow = costRow + m2;
+    u64 *const hrRow = hlRow + m2;
+
+    const auto chA = A.children(ca);
     if (chA.empty()) {
-      std::fill(hlRow.begin(), hlRow.end(), 0);
-      std::fill(hrRow.begin(), hrRow.end(), 0);
+      std::fill(hlRow, hrRow + m2, 0);
     } else {
-      // Post-order guarantees the accumulator is complete, and that the
-      // node processed immediately before v is its last child — whose cost
-      // and H_R rows still sit in prevCost/prevHr.
-      const auto it = accs.find(v);
-      const ParentAcc &acc = it->second;
-      for (usize w = 1; w <= n2; ++w) {
-        hlRow[w] = acc.c1Hl[w] + (acc.sumAll[w] - acc.c1Cost[w]);
-        hrRow[w] = prevHr[w] + (acc.sumAll[w] - prevCost[w]);
+      const u64 *first = rowsOf(chA.front()), *last = rowsOf(chA.back());
+      std::copy(first + m2, first + 2 * m2, hlRow);
+      std::copy(last + 2 * m2, last + 3 * m2, hrRow);
+      for (usize k = 0; k < chA.size(); ++k) {
+        const u64 *childCost = rowsOf(chA[k]);
+        if (k != 0)
+          for (usize cb = 0; cb < m2; ++cb) hlRow[cb] += childCost[cb];
+        if (k + 1 != chA.size())
+          for (usize cb = 0; cb < m2; ++cb) hrRow[cb] += childCost[cb];
       }
-      accs.erase(it);
     }
 
-    const u64 szv = a.sz[v];
-    const u64 krLa = a.krSumLeft[v], krRa = a.krSumRight[v];
-    for (u32 w = 1; w <= n2; ++w) {
-      const auto &chB = b.children[w];
+    const u64 szA = A.sz[ca];
+    const u64 krLa = A.krSumLeft[ca], krRa = A.krSumRight[ca];
+    for (u32 cb = 0; cb < m2; ++cb) {
+      const auto chB = B.children(cb);
       u64 hpl = 0, hpr = 0;
       if (!chB.empty()) {
         hpl = hplRow[chB.front()];
@@ -352,10 +408,10 @@ Strategy computeStrategy(const TreeIndex &a, const TreeIndex &b) {
       // Single-path kernel cost: the path-relevant forest of the
       // decomposed side (the whole subtree) against every local keyroot
       // forest of the other side.
-      const u64 cLA = hlRow[w] + szv * b.krSumLeft[w];
-      const u64 cRA = hrRow[w] + szv * b.krSumRight[w];
-      const u64 cLB = hpl + static_cast<u64>(b.sz[w]) * krLa;
-      const u64 cRB = hpr + static_cast<u64>(b.sz[w]) * krRa;
+      const u64 cLA = hlRow[cb] + szA * B.krSumLeft[cb];
+      const u64 cRA = hrRow[cb] + szA * B.krSumRight[cb];
+      const u64 cLB = hpl + static_cast<u64>(B.sz[cb]) * krLa;
+      const u64 cRB = hpr + static_cast<u64>(B.sz[cb]) * krRa;
 
       u64 best = cLA;
       auto kind = PathKind::LeftA;
@@ -363,27 +419,22 @@ Strategy computeStrategy(const TreeIndex &a, const TreeIndex &b) {
       if (cLB < best) { best = cLB; kind = PathKind::LeftB; }
       if (cRB < best) { best = cRB; kind = PathKind::RightB; }
 
-      costRow[w] = best;
-      hplRow[w] = hpl;
-      hprRow[w] = hpr;
-      const usize k = static_cast<usize>(v - 1) * n2 + (w - 1);
+      costRow[cb] = best;
+      hplRow[cb] = hpl;
+      hprRow[cb] = hpr;
+      const usize k = static_cast<usize>(ca) * m2 + cb;
       s.pick[k / 4] |= static_cast<u8>(static_cast<u8>(kind) << (2 * (k % 4)));
     }
-    rootCost = costRow[n2];
 
-    if (const u32 p = a.parent[v]; p != 0) {
-      auto &acc = accs[p];
-      if (acc.sumAll.empty()) acc.sumAll.assign(n2 + 1, 0);
-      for (usize w = 1; w <= n2; ++w) acc.sumAll[w] += costRow[w];
-      if (v == a.children[p].front()) {
-        acc.c1Cost = costRow;
-        acc.c1Hl = hlRow;
+    for (const u32 c : chA) {
+      if (lastParent[c] == ca && slotOf[c] != kNone) {
+        freeSlots.push_back(slotOf[c]);
+        slotOf[c] = kNone;
       }
     }
-    std::swap(prevCost, costRow);
-    std::swap(prevHr, hrRow);
   }
-  s.cost = rootCost;
+  // The root is the only subtree of its size, so its class is the last one.
+  s.cost = rowsOf(static_cast<u32>(m1 - 1))[m2 - 1];
   return s;
 }
 
@@ -439,7 +490,7 @@ u64 runCells(const TreeIndex &a, const TreeIndex &b, const Strategy &strategy,
   while (!stack.empty()) {
     const Frame f = stack.back();
     const u32 v = f.v, w = f.w;
-    const PathKind kind = strategy.at(v, w);
+    const PathKind kind = strategy.at(a.shape[v], b.shape[w]);
 
     if (f.phase == 0) {
       if (reuseBlocks) {

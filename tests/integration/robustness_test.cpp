@@ -186,7 +186,10 @@ TEST(TreeProperties, SpliceAndPruneKeepInvariantsOnRandomTrees) {
     spliced.validate();
     pruned.validate();
     EXPECT_LE(pruned.size(), spliced.size() + 1); // prune removes at least as much (modulo stub)
-    for (const auto &node : pruned.nodes())
-      if (node.label != "<masked>") EXPECT_NE(node.label[0], drop);
+    for (const auto &node : pruned.nodes()) {
+      if (node.label != "<masked>") {
+        EXPECT_NE(node.label[0], drop);
+      }
+    }
   }
 }

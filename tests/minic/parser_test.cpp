@@ -290,6 +290,30 @@ TEST(Parser, SyntaxErrorHasLocation) {
   }
 }
 
+namespace {
+std::string nestedParens(usize depth) {
+  return "int f() { return " + std::string(depth, '(') + "1" + std::string(depth, ')') + "; }";
+}
+} // namespace
+
+TEST(Parser, DeepParenthesesFailCleanly) {
+  // 100 000 levels would overflow the stack of an uncapped descent.
+  EXPECT_THROW((void)parse(nestedParens(100000)), lang::FrontendError);
+  std::string blocks = "void f() ";
+  blocks += std::string(100000, '{') + std::string(100000, '}');
+  EXPECT_THROW((void)parse(blocks), lang::FrontendError);
+  EXPECT_THROW((void)parse("int f() { return " + std::string(100000, '-') + "1; }"),
+               lang::FrontendError);
+}
+
+TEST(Parser, ModerateNestingStillParses) {
+  const auto tu = parse(nestedParens(200));
+  ASSERT_EQ(tu.functions.size(), 1u);
+  const Expr *e = tu.functions[0].body->children[0]->cond.get();
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->kind, ExprKind::IntLit);
+}
+
 TEST(Parser, UsingDirectiveSkipped) {
   const auto tu = parse("using namespace sycl;\nint x = 1;");
   ASSERT_EQ(tu.globals.size(), 1u);

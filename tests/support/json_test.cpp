@@ -43,6 +43,29 @@ TEST(Json, RejectsMalformed) {
   EXPECT_THROW((void)json::parse("\"unterminated"), ParseError);
 }
 
+TEST(Json, RejectsDeepNesting) {
+  // Unbounded recursive descent would overflow the stack long before
+  // 100 000 levels; the depth cap turns both container kinds into errors.
+  EXPECT_THROW((void)json::parse(std::string(100000, '[')), ParseError);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"k\":";
+  EXPECT_THROW((void)json::parse(objects), ParseError);
+  // Past the cap, even a well-formed document is refused.
+  EXPECT_THROW((void)json::parse(std::string(65, '[') + std::string(65, ']')), ParseError);
+}
+
+TEST(Json, ParsesNestingUpToTheCap) {
+  std::string doc;
+  for (int i = 0; i < 32; ++i) doc += "{\"k\":[";
+  doc += "1";
+  for (int i = 0; i < 32; ++i) doc += "]}";
+  const auto root = json::parse(doc);
+  const Value *v = &root;
+  for (int i = 0; i < 32; ++i) v = &v->at("k").asArray().front();
+  EXPECT_EQ(v->asInt(), 1);
+  EXPECT_NO_THROW((void)json::parse(std::string(64, '[') + std::string(64, ']')));
+}
+
 TEST(Json, TypeMismatchThrows) {
   const auto v = json::parse("[1]");
   EXPECT_THROW((void)v.asObject(), ParseError);

@@ -48,6 +48,162 @@ Tree mirrored(const Tree &t) {
   return out;
 }
 
+/// A tree assembled from copies of a few small templates under a spine, with
+/// random labels: many subtrees share a shape but not their labels.
+Tree repetitiveTree(u32 seed, usize spine) {
+  std::mt19937 rng(seed);
+  static const char *labels[] = {"Fn", "Call", "If", "For", "Decl", "BinOp", "Ref", "Lit"};
+  const auto label = [&] { return labels[rng() % 8]; };
+  // Each template is a parent list in pre-order: node k > 0 hangs off tmpl[k].
+  const std::vector<std::vector<u32>> templates = {
+      {0}, {0, 0, 0}, {0, 0, 1, 1}, {0, 0, 0, 2, 2, 0}, {0, 0, 1, 2}};
+  auto t = Tree::leaf(label());
+  NodeId cur = 0;
+  for (usize i = 0; i < spine; ++i) {
+    const usize copies = 1 + rng() % 4;
+    for (usize c = 0; c < copies; ++c) {
+      const auto &tmpl = templates[rng() % templates.size()];
+      std::vector<NodeId> ids{t.addChild(cur, label())};
+      for (usize k = 1; k < tmpl.size(); ++k) ids.push_back(t.addChild(ids[tmpl[k]], label()));
+    }
+    cur = t.addChild(cur, label());
+  }
+  return t;
+}
+
+/// A T_ir-like tree: wide and at most four levels deep (unit, functions,
+/// blocks, instructions, operand leaves).
+Tree wideShallowTree(u32 seed, usize fns) {
+  std::mt19937 rng(seed);
+  static const char *ops[] = {"add", "mul", "load", "store", "br", "call", "cmp", "phi"};
+  auto t = Tree::leaf("unit");
+  for (usize f = 0; f < fns; ++f) {
+    const NodeId fn = t.addChild(0, "fn");
+    for (usize b = 0, nb = 1 + rng() % 4; b < nb; ++b) {
+      const NodeId block = t.addChild(fn, "block");
+      for (usize i = 0, ni = 1 + rng() % 8; i < ni; ++i) {
+        const NodeId inst = t.addChild(block, ops[rng() % 8]);
+        for (usize o = 0, no = rng() % 3; o < no; ++o) t.addChild(inst, "v");
+      }
+    }
+  }
+  return t;
+}
+
+/// The node-level strategy DP: the same recurrence as apted::computeStrategy,
+/// run over every canonical subtree pair (v, w) rather than over shape
+/// classes. Kept as the reference the class DP must reproduce pick for pick.
+struct NodeStrategy {
+  usize n2 = 0;
+  std::vector<apted::PathKind> pick; ///< slot (v-1)*n2 + (w-1)
+  u64 cost = 0;
+};
+
+NodeStrategy nodeLevelStrategy(const apted::TreeIndex &a, const apted::TreeIndex &b) {
+  // Per-node keyroot sums from the orientation indices:
+  // L(u) = span(u) + sum_c L(c) - span(pathChild).
+  const auto keyrootSums = [](const apted::TreeIndex &ix, std::vector<u64> &kl,
+                              std::vector<u64> &kr, std::vector<u32> &parent) {
+    kl.assign(ix.n + 1, 0);
+    kr.assign(ix.n + 1, 0);
+    parent.assign(ix.n + 1, 0);
+    const auto lspan = [&](u32 c) { return static_cast<u64>(c - ix.left.lml[c] + 1); };
+    const auto rspan = [&](u32 c) {
+      const u32 r = ix.canonToRight[c];
+      return static_cast<u64>(r - ix.right.lml[r] + 1);
+    };
+    for (u32 v = 1; v <= ix.n; ++v) {
+      const auto &ch = ix.children[v];
+      u64 sl = 0, sr = 0;
+      for (const u32 c : ch) {
+        sl += kl[c];
+        sr += kr[c];
+        parent[c] = v;
+      }
+      kl[v] = lspan(v) + sl - (ch.empty() ? 0 : lspan(ch.front()));
+      kr[v] = rspan(v) + sr - (ch.empty() ? 0 : rspan(ch.back()));
+    }
+  };
+  std::vector<u64> klA, krA, klB, krB;
+  std::vector<u32> parentA, parentB;
+  keyrootSums(a, klA, krA, parentA);
+  keyrootSums(b, klB, krB, parentB);
+
+  NodeStrategy s;
+  const usize n2 = s.n2 = b.n;
+  s.pick.assign(a.n * n2, apted::PathKind::LeftA);
+  std::vector<u64> costRow(n2 + 1, 0), hlRow(n2 + 1, 0), hrRow(n2 + 1, 0);
+  std::vector<u64> hplRow(n2 + 1, 0), hprRow(n2 + 1, 0);
+  std::vector<u64> prevCost(n2 + 1, 0), prevHr(n2 + 1, 0);
+  struct ParentAcc {
+    std::vector<u64> sumAll, c1Cost, c1Hl;
+  };
+  std::unordered_map<u32, ParentAcc> accs;
+  for (u32 v = 1; v <= a.n; ++v) {
+    if (a.children[v].empty()) {
+      std::fill(hlRow.begin(), hlRow.end(), 0);
+      std::fill(hrRow.begin(), hrRow.end(), 0);
+    } else {
+      // The node before v in post-order is its last child.
+      const ParentAcc &acc = accs.at(v);
+      for (usize w = 1; w <= n2; ++w) {
+        hlRow[w] = acc.c1Hl[w] + (acc.sumAll[w] - acc.c1Cost[w]);
+        hrRow[w] = prevHr[w] + (acc.sumAll[w] - prevCost[w]);
+      }
+      accs.erase(v);
+    }
+    for (u32 w = 1; w <= n2; ++w) {
+      const auto &chB = b.children[w];
+      u64 hpl = 0, hpr = 0;
+      if (!chB.empty()) {
+        hpl = hplRow[chB.front()];
+        hpr = hprRow[chB.back()];
+        for (usize k = 0; k < chB.size(); ++k) {
+          if (k != 0) hpl += costRow[chB[k]];
+          if (k + 1 != chB.size()) hpr += costRow[chB[k]];
+        }
+      }
+      const u64 c[4] = {hlRow[w] + a.sz[v] * klB[w], hrRow[w] + a.sz[v] * krB[w],
+                        hpl + b.sz[w] * klA[v], hpr + b.sz[w] * krA[v]};
+      usize kind = 0;
+      for (usize k = 1; k < 4; ++k)
+        if (c[k] < c[kind]) kind = k;
+      costRow[w] = c[kind];
+      hplRow[w] = hpl;
+      hprRow[w] = hpr;
+      s.pick[(v - 1) * n2 + (w - 1)] = static_cast<apted::PathKind>(kind);
+    }
+    s.cost = costRow[n2];
+    if (const u32 p = parentA[v]; p != 0) {
+      auto &acc = accs[p];
+      if (acc.sumAll.empty()) acc.sumAll.assign(n2 + 1, 0);
+      for (usize w = 1; w <= n2; ++w) acc.sumAll[w] += costRow[w];
+      if (v == a.children[p].front()) {
+        acc.c1Cost = costRow;
+        acc.c1Hl = hlRow;
+      }
+    }
+    std::swap(prevCost, costRow);
+    std::swap(prevHr, hrRow);
+  }
+  return s;
+}
+
+/// Label-free shape of subtree(v), spelled out: the exact identity the
+/// shape classes must intern.
+std::string shapeString(const apted::TreeIndex &ix, u32 v) {
+  std::string s = "(";
+  for (const u32 c : ix.children[v]) s += shapeString(ix, c);
+  return s + ")";
+}
+
+/// Index `t` with a label interner shared by every tree of one test.
+apted::TreeIndex indexOf(const Tree &t, std::unordered_map<std::string, u32> &ids) {
+  return apted::buildIndex(t, [&ids](const std::string &s) {
+    return ids.emplace(s, static_cast<u32>(ids.size())).first->second;
+  });
+}
+
 } // namespace
 
 TEST(Ted, IdenticalTreesHaveZeroDistance) {
@@ -270,13 +426,107 @@ TEST(Ted, RunCountersMatchStrategyCost) {
     const auto ia = apted::buildIndex(a, intern);
     const auto ib = apted::buildIndex(b, intern);
     const auto strat = apted::computeStrategy(ia, ib);
-    EXPECT_EQ(strat.pick.size(), (n1 * n2 + 3) / 4);
+    EXPECT_EQ(strat.pick.size(), (strat.m1 * strat.m2 + 3) / 4);
     apted::RunCounters rc;
     const u64 d = apted::run(ia, ib, strat, {}, /*reuseBlocks=*/false, &rc);
     EXPECT_EQ(d, tedZS(a, b));
     EXPECT_EQ(rc.subproblems[0] + rc.subproblems[1] + rc.subproblems[2] + rc.subproblems[3],
               strat.cost);
     EXPECT_EQ(rc.blockHits, 0u);
+  }
+}
+
+TEST(Ted, ClassStrategyMatchesNodeLevelOracle) {
+  // The class-pair DP must pick, at every subtree pair (v, w), what the
+  // node-level DP picks, with the same root cost: on trees full of repeated
+  // shapes, on random trees where few shapes repeat, and on wide trees of
+  // depth <= 4 like the T_ir ones.
+  std::unordered_map<std::string, u32> ids;
+  std::vector<std::pair<Tree, Tree>> pairs;
+  for (u32 seed = 0; seed < 4; ++seed) {
+    pairs.emplace_back(repetitiveTree(seed * 2 + 601, 8 + seed * 5),
+                       repetitiveTree(seed * 2 + 602, 12 + seed * 3));
+    pairs.emplace_back(randomTree(seed * 2 + 701, 40 + seed * 30),
+                       randomTree(seed * 2 + 702, 90 - seed * 15));
+    pairs.emplace_back(wideShallowTree(seed * 2 + 801, 6 + seed * 4),
+                       wideShallowTree(seed * 2 + 802, 10 + seed * 2));
+    pairs.emplace_back(repetitiveTree(seed + 901, 10), wideShallowTree(seed + 951, 8));
+  }
+  pairs.emplace_back(Tree::leaf("x"), randomTree(17, 30));
+  pairs.emplace_back(randomTree(18, 30), Tree::leaf("y"));
+  for (usize i = 0; i < pairs.size(); ++i) {
+    const auto &[ta, tb] = pairs[i];
+    SCOPED_TRACE(testing::Message() << "pair " << i << ": " << ta.size() << "x" << tb.size());
+    const auto a = indexOf(ta, ids);
+    const auto b = indexOf(tb, ids);
+    const auto strat = apted::computeStrategy(a, b);
+    const auto oracle = nodeLevelStrategy(a, b);
+    EXPECT_EQ(strat.cost, oracle.cost);
+    EXPECT_EQ(strat.m1, a.classes.size());
+    EXPECT_EQ(strat.m2, b.classes.size());
+    usize mismatches = 0;
+    for (u32 v = 1; v <= a.n; ++v)
+      for (u32 w = 1; w <= b.n; ++w)
+        mismatches += strat.at(a.shape[v], b.shape[w]) != oracle.pick[(v - 1) * b.n + (w - 1)];
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+TEST(Ted, ShapeClassesIgnoreLabels) {
+  // R(A(x, y), B(p, q), C(z)): A and B share a shape despite their labels,
+  // C does not, and every leaf is class 0.
+  std::unordered_map<std::string, u32> ids;
+  const auto t = toTree(build("R", {build("A", {build("x"), build("y")}),
+                                    build("B", {build("p"), build("q")}), build("C", {build("z")})}));
+  const auto ix = indexOf(t, ids);
+  ASSERT_EQ(ix.n, 9u);
+  // Canonical post-order: x y A p q B z C R.
+  for (const u32 leaf : {1u, 2u, 4u, 5u, 7u}) EXPECT_EQ(ix.shape[leaf], 0u);
+  EXPECT_EQ(ix.shape[3], ix.shape[6]);
+  EXPECT_NE(ix.shape[3], ix.shape[8]);
+  EXPECT_EQ(ix.classes.size(), 4u);
+  EXPECT_EQ(ix.classes.sz[ix.shape[3]], 3u);
+  EXPECT_EQ(ix.classes.sz[ix.shape[9]], 9u);
+}
+
+TEST(Ted, ShapeClassesKeepChildOrder) {
+  // X(leaf, C(leaf)) and Y(C(leaf), leaf) hold the same multiset of child
+  // shapes in a different order: different shapes, different classes.
+  std::unordered_map<std::string, u32> ids;
+  const auto t = toTree(build("R", {build("X", {build("l"), build("C", {build("l")})}),
+                                    build("Y", {build("C", {build("l")}), build("l")})}));
+  const auto ix = indexOf(t, ids);
+  // Canonical post-order: l l C X l C l Y R.
+  EXPECT_EQ(ix.shape[3], ix.shape[6]);
+  EXPECT_NE(ix.shape[4], ix.shape[8]);
+  EXPECT_EQ(ix.classes.size(), 5u);
+}
+
+TEST(Ted, ShapeClassesAreExactAndAscendAlongPostOrder) {
+  // On random trees, two nodes share a class iff their label-free shapes
+  // are equal; a new class takes the next id at its first post-order
+  // appearance, so every child's class precedes its parent's.
+  std::unordered_map<std::string, u32> ids;
+  for (const auto &t : {randomTree(1001, 300), repetitiveTree(1002, 30), wideShallowTree(1003, 20)}) {
+    const auto ix = indexOf(t, ids);
+    std::unordered_map<std::string, u32> byShape;
+    u32 nextId = 0;
+    for (u32 v = 1; v <= ix.n; ++v) {
+      const auto [it, fresh] = byShape.emplace(shapeString(ix, v), ix.shape[v]);
+      EXPECT_EQ(it->second, ix.shape[v]) << "v=" << v;
+      if (fresh) {
+        EXPECT_EQ(ix.shape[v], nextId++) << "v=" << v;
+      }
+      const auto kids = ix.classes.children(ix.shape[v]);
+      ASSERT_EQ(kids.size(), ix.children[v].size());
+      for (usize k = 0; k < kids.size(); ++k) {
+        EXPECT_EQ(kids[k], ix.shape[ix.children[v][k]]);
+        EXPECT_LT(kids[k], ix.shape[v]);
+      }
+      EXPECT_EQ(ix.classes.sz[ix.shape[v]], ix.sz[v]);
+    }
+    EXPECT_EQ(byShape.size(), ix.classes.size());
+    EXPECT_EQ(ix.shape[ix.n], ix.classes.size() - 1);
   }
 }
 
